@@ -21,9 +21,9 @@ vet-fast:
 	go run ./cmd/m3vet -fast ./...
 
 # Regenerate the committed suppression set from the current tree. The
-# sharedstate keys in vet-baseline.json double as the parallel-DES
-# synchronization work-list (ROADMAP item 2); review the diff before
-# committing — a new key is a new shared-state obligation.
+# sharedstate keys in vet-baseline.json are the open shared-state
+# inventory (docs/ANALYSIS.md); review the diff before committing — a
+# new key is a new shared-state obligation.
 vet-baseline:
 	go run ./cmd/m3vet -write-baseline vet-baseline.json
 
@@ -49,12 +49,11 @@ bench-smoke:
 bench-baseline:
 	go run ./cmd/m3bench -e smoke -capture -json BENCH_4.json
 
-# The attribution self-test: capture the tier-1 workload under the
-# serial-heap, serial-calendar, and parallel-4 engines (captures must
-# be byte-identical), re-capture with the kernel's syscall dispatch
-# cost perturbed +10%, and require m3diff to attribute the regression
-# to the kernel — top blame-drift category and a growing kernel
-# profile layer — with byte-stable reports.
+# The attribution self-test: capture the tier-1 workload, re-capture
+# with the kernel's syscall dispatch cost perturbed +10%, and require
+# m3diff to attribute the regression to the kernel — top blame-drift
+# category and a growing kernel profile layer — with byte-stable
+# reports.
 diff-smoke:
 	go run ./cmd/m3diff -selftest
 
@@ -86,7 +85,8 @@ chaos:
 
 # Short fuzz smoke over the crash-facing decoders — the fault-plan
 # parser and the m3fs metadata journal — plus the event-queue
-# cross-check (calendar vs reference heap pop order). The full fuzzers
+# cross-check (calendar queue vs a test-only reference heap, pop
+# order). The full fuzzers
 # run for as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
 # go test -fuzz FuzzEventQueue ./internal/sim.

@@ -3,17 +3,18 @@
 #
 #   build      the whole module compiles
 #   go vet     the stock Go checks
+#   hostbench  `go vet` of the host benchmark in _hostbench, a module of
+#              its own that `./...` skips, so an API change cannot
+#              break the benchmark unnoticed; offline, writes no go.sum
 #   m3vet      the repo's own determinism & isolation linter, including
 #              the interprocedural passes (sharedstate, timetaint,
 #              capflow); known-accepted findings are suppressed by
 #              vet-baseline.json and the shared-state inventory is kept
-#              as artifacts/sharedstate.json — the parallel-DES
-#              work-list (see docs/ANALYSIS.md)
+#              as artifacts/sharedstate.json (see docs/ANALYSIS.md)
 #   tests      the full suite under the race detector — any data race
-#              would mean the sim's strict goroutine hand-off (or the
-#              parallel engine's barrier discipline) is broken — with
-#              shuffled test order, so no test can silently depend on
-#              a sibling running first
+#              would mean the sim's strict goroutine hand-off is broken
+#              — with shuffled test order, so no test can silently
+#              depend on a sibling running first
 #   chaos      the fault-injection tier: determinism under faults, the
 #              isolation-survives-failure matrix, service crash
 #              recovery, and the chaos-overload tier — graceful
@@ -28,8 +29,7 @@
 #              for inspection (docs/EXPERIMENTS.md)
 #   diff       the attribution self-test: a seeded +10% kernel
 #              dispatch-cost perturbation must be attributed to the
-#              kernel layer by m3diff, with captures byte-identical
-#              across serial and parallel engines
+#              kernel layer by m3diff, with byte-stable reports
 #              (docs/OBSERVABILITY.md)
 #   slo        the SLO regression gate: the m3slo attribution report
 #              over the tier-1 workload, byte-compared against the
@@ -38,6 +38,7 @@ set -eux
 
 go build ./...
 go vet ./...
+(cd _hostbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off go vet .)
 go run ./cmd/m3vet -json artifacts/sharedstate.json ./...
 go test -race -shuffle=on ./...
 make chaos

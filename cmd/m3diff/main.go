@@ -7,8 +7,8 @@
 //
 // All reports are byte-deterministic: diffing the same two files always
 // produces the same bytes, and captures themselves are byte-identical
-// across serial and parallel simulation engines, so a nonempty diff is
-// a real behavior change, never engine noise.
+// across reruns, so a nonempty diff is a real behavior change, never
+// run-to-run noise.
 //
 // Usage:
 //
@@ -147,9 +147,7 @@ const selftestWorkload = "tar"
 // runSelftest is `make diff-smoke`: prove the attribution pipeline
 // end to end on a seeded regression.
 //
-//  1. Capture the baseline workload under all three engine variants
-//     (serial-heap, serial-calendar, parallel) and require the capture
-//     JSON to be byte-identical — the differential contract.
+//  1. Capture the baseline workload.
 //  2. Re-capture with the kernel's syscall dispatch cost perturbed
 //     +10% (core.CostDispatch/10 extra cycles per syscall).
 //  3. Diff base vs perturbed and require the kernel to rank first:
@@ -157,32 +155,11 @@ const selftestWorkload = "tar"
 //     profile-layer delta.
 //  4. Render the report twice and require byte-identical output.
 func runSelftest() error {
-	variants := []bench.EngineVariant{
-		{Name: "serial-heap", Cfg: sim.Config{Queue: sim.QueueHeap}},
-		{Name: "serial-calendar", Cfg: sim.Config{}},
-		{Name: "parallel-4", Cfg: sim.Config{Workers: 4}},
+	fmt.Printf("selftest: capturing %s\n", selftestWorkload)
+	base, err := bench.RunWorkloadCapture(selftestWorkload, bench.CaptureRunOptions{})
+	if err != nil {
+		return fmt.Errorf("capturing baseline run: %w", err)
 	}
-	fmt.Printf("selftest: capturing %s under %d engine variants\n", selftestWorkload, len(variants))
-	var base *obs.RunCapture
-	var baseJSON string
-	for _, v := range variants {
-		c, err := bench.RunWorkloadCapture(selftestWorkload, bench.CaptureRunOptions{Engine: v.Cfg})
-		if err != nil {
-			return fmt.Errorf("capturing under %s: %w", v.Name, err)
-		}
-		js, err := captureString(c)
-		if err != nil {
-			return err
-		}
-		if base == nil {
-			base, baseJSON = c, js
-			continue
-		}
-		if js != baseJSON {
-			return fmt.Errorf("capture under %s differs from %s: the differential contract is broken", v.Name, variants[0].Name)
-		}
-	}
-	fmt.Printf("selftest: captures byte-identical across %d engines\n", len(variants))
 
 	delta := sim.Time(core.CostDispatch) / 10
 	perturbed, err := bench.RunWorkloadCapture(selftestWorkload, bench.CaptureRunOptions{DispatchCostDelta: delta})
@@ -232,15 +209,6 @@ func runSelftest() error {
 	fmt.Printf("selftest: +%d cycles/syscall attributed to kernel (blame %s, share %.1f%% -> %.1f%%); reports byte-stable\n",
 		delta, blame.Category, 100*blame.OldShare, 100*blame.NewShare)
 	return nil
-}
-
-// captureString renders a capture's JSON into a string.
-func captureString(c *obs.RunCapture) (string, error) {
-	var sb writerBuf
-	if err := c.WriteJSON(&sb); err != nil {
-		return "", err
-	}
-	return string(sb), nil
 }
 
 // diffString renders every diff format into one string.

@@ -37,31 +37,18 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the run's structured event stream as Chrome-trace/Perfetto JSON to this file")
 	stats := flag.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
 	sample := flag.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
-	engine := flag.String("engine", "calendar", "event queue: calendar (O(1) wheel) or heap (reference binary heap)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the conservative parallel engine (0 or 1 = serial)")
 	flag.Parse()
-
-	var engCfg sim.Config
-	switch *engine {
-	case "calendar":
-		engCfg.Queue = sim.QueueCalendar
-	case "heap":
-		engCfg.Queue = sim.QueueHeap
-	default:
-		log.Fatalf("m3sim: unknown -engine %q (want calendar or heap)", *engine)
-	}
-	engCfg.Workers = *parallel
 
 	b, err := workload.ByName(*name)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *instances > 1 {
-		runInstances(b, *instances, engCfg)
+		runInstances(b, *instances)
 		return
 	}
 
-	eng := sim.NewEngineWith(engCfg)
+	eng := sim.NewEngine()
 	if *traceN > 0 {
 		remaining := *traceN
 		eng.SetTracer(func(at sim.Time, source, event string) {
@@ -159,8 +146,8 @@ func main() {
 	}
 }
 
-func runInstances(b workload.Benchmark, n int, engCfg sim.Config) {
-	avg, err := bench.RunM3InstancesEngine(b, n, engCfg)
+func runInstances(b workload.Benchmark, n int) {
+	avg, err := bench.RunM3Instances(b, n)
 	if err != nil {
 		log.Fatal(err)
 	}

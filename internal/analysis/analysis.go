@@ -139,7 +139,6 @@ func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fac
 func AllModule() []*ModuleAnalyzer {
 	return []*ModuleAnalyzer{
 		SharedState,
-		ParSafe,
 		TimeTaint,
 		CapFlow,
 	}
@@ -324,9 +323,9 @@ func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyze
 		sums := Summarize(graph)
 		res.Inventory = BuildInventory(graph, sums)
 		// Stamp //m3vet:resolve annotations onto the inventory before
-		// the module passes run: sharedstate skips resolved entries,
-		// parsafe checks shard resolutions. Malformed or stale resolve
-		// comments surface as (unkeyed, unbaselineable) diagnostics.
+		// the module passes run: sharedstate skips resolved entries.
+		// Malformed or stale resolve comments surface as (unkeyed,
+		// unbaselineable) diagnostics.
 		res.Diagnostics = append(res.Diagnostics, applyResolutions(pkgs, res.Inventory)...)
 		// Line-level allow comments apply to module findings too; a
 		// baseline file handles the accepted inventory wholesale.

@@ -45,9 +45,9 @@ type JSONInventoryEntry struct {
 	Writers []string `json:"writers"`
 	Readers []string `json:"readers"`
 	// Resolution and ResolutionNote mirror the //m3vet:resolve
-	// annotation on the declaration: how the location is safe under the
-	// parallel engine (owner/shard/message) and why. Empty while the
-	// entry is still open work-list debt.
+	// annotation on the declaration: how sharing the location is safe
+	// (owner/message) and why. Empty while the entry is still open
+	// work-list debt.
 	Resolution     string     `json:"resolution,omitempty"`
 	ResolutionNote string     `json:"resolution_note,omitempty"`
 	Witness        []JSONFact `json:"witness,omitempty"`

@@ -6,39 +6,29 @@ import (
 )
 
 // This file implements //m3vet:resolve comments: the mechanism that
-// retires entries from the shared-state inventory (ROADMAP item 2's
-// synchronization work-list) one by one as the parallel engine's
-// synchronization plan lands. A resolve comment sits on (or directly
-// above) the declaration of an inventoried location and records *how*
-// the location is safe under the conservative parallel engine:
+// retires entries from the shared-state inventory one by one. A
+// resolve comment sits on (or directly above) the declaration of an
+// inventoried location and records *why* sharing it between entry
+// contexts is safe:
 //
-//	//m3vet:resolve sharedstate <owner|shard|message> <reason>
+//	//m3vet:resolve sharedstate <owner|message> <reason>
 //
-// The three resolutions match the engine's three safety arguments
-// (docs/PARALLEL.md):
+// The two resolutions are the engine's two safety arguments:
 //
-//   - owner: the location is only mutated on the engine goroutine —
-//     in serial callbacks, process bodies, or barrier-replayed acts —
-//     never inside a shard context.
-//   - shard: the location is partitioned per shard; a shard context
-//     only writes the partition it owns (its own DTU, its own
-//     ShardCtx act log).
+//   - owner: the location is only mutated on the engine goroutine or
+//     by the single process holding the engine's strict hand-off, so
+//     no two contexts ever touch it at once.
 //   - message: the location lives in a pooled message or packet whose
 //     ownership is handed off through the pool discipline; exactly one
 //     context can reach it at a time.
 //
 // A resolved entry stops producing a sharedstate finding (its baseline
-// key disappears on the next `make vet-baseline`), and the claim is
-// *checked*: the parsafe pass flags any shard-context write to a
-// shared location not resolved as "shard", so an "owner" annotation on
-// something a DeliverShard path actually mutates fails CI instead of
-// silently lying.
+// key disappears on the next `make vet-baseline`).
 const ResolvePrefix = "m3vet:resolve"
 
 // resolveKinds are the accepted synchronization arguments.
 var resolveKinds = map[string]bool{
 	"owner":   true,
-	"shard":   true,
 	"message": true,
 }
 
@@ -78,7 +68,7 @@ func collectResolves(pkgs []*Package) (map[resolveSlot]*resolution, []Diagnostic
 					switch {
 					case len(fields) < 3:
 						bad = append(bad, Diagnostic{Pos: pos, Rule: "m3vet",
-							Message: "malformed resolve comment: want //m3vet:resolve sharedstate <owner|shard|message> <reason>"})
+							Message: "malformed resolve comment: want //m3vet:resolve sharedstate <owner|message> <reason>"})
 						continue
 					case fields[0] != SharedState.Name:
 						bad = append(bad, Diagnostic{Pos: pos, Rule: "m3vet",
@@ -86,7 +76,7 @@ func collectResolves(pkgs []*Package) (map[resolveSlot]*resolution, []Diagnostic
 						continue
 					case !resolveKinds[fields[1]]:
 						bad = append(bad, Diagnostic{Pos: pos, Rule: "m3vet",
-							Message: fmt.Sprintf("resolve comment uses unknown resolution %q (want owner, shard, or message)", fields[1])})
+							Message: fmt.Sprintf("resolve comment uses unknown resolution %q (want owner or message)", fields[1])})
 						continue
 					}
 					r := &resolution{

@@ -5,16 +5,71 @@ import (
 	"testing"
 )
 
+// resolveFixture models the serial engine's shapes: a noc.Handler
+// implementation and an engine callback both touch three locations —
+// one resolved "owner", one resolved "message", and one unresolved
+// (still a sharedstate finding).
+var resolveFixture = map[string]map[string]string{
+	"repro/internal/sim": {"sim.go": `package sim
+
+type Engine struct{}
+
+func (e *Engine) Schedule(at int, fn func()) { fn() }
+`},
+	"repro/internal/noc": {"noc.go": `package noc
+
+type Packet struct{ Hops int }
+
+type Handler interface{ Deliver(p *Packet) }
+
+//m3vet:resolve sharedstate owner only the engine goroutine bumps this
+var OwnerOnly int
+
+//m3vet:resolve sharedstate message the packet is owned by exactly one context at a time
+var Pooled *Packet
+
+var Unresolved int
+`},
+	"repro/internal/dtu": {"dtu.go": `package dtu
+
+import "repro/internal/noc"
+
+type D struct{}
+
+func (d *D) Deliver(p *noc.Packet) {
+	bumpOwner()
+	noc.Pooled = p
+	noc.Unresolved++
+}
+
+func bumpOwner() { noc.OwnerOnly++ }
+`},
+	"repro/internal/core": {"core.go": `package core
+
+import (
+	"repro/internal/noc"
+	"repro/internal/sim"
+)
+
+func Boot(e *sim.Engine) {
+	e.Schedule(1, func() {
+		noc.OwnerOnly++
+		noc.Pooled = nil
+		noc.Unresolved++
+	})
+}
+`},
+}
+
 func TestResolveStampsInventory(t *testing.T) {
-	res := runModuleOn(t, shardFixture)
+	res := runModuleOn(t, resolveFixture)
 	rows := make(map[string]InventoryEntry)
 	for _, e := range res.Inventory {
 		rows[e.Key] = e
 	}
 	want := map[string]string{
-		"repro/internal/noc.PerShard":   "shard",
 		"repro/internal/noc.OwnerOnly":  "owner",
-		"repro/internal/noc.Deferred":   "owner",
+		"repro/internal/noc.Pooled":     "message",
 		"repro/internal/noc.Unresolved": "",
 	}
 	for key, kind := range want {
@@ -33,7 +88,7 @@ func TestResolveStampsInventory(t *testing.T) {
 }
 
 func TestResolveRetiresSharedStateFindings(t *testing.T) {
-	res := runModuleOn(t, shardFixture)
+	res := runModuleOn(t, resolveFixture)
 	diags := diagsOf(res, "sharedstate")
 	if len(diags) != 1 {
 		t.Fatalf("want exactly 1 sharedstate finding (the unresolved entry), got %d:\n%s",
@@ -46,8 +101,8 @@ func TestResolveRetiresSharedStateFindings(t *testing.T) {
 
 // badResolveFixture holds every way a resolve comment can be wrong:
 // too few fields, a rule other than sharedstate, an unknown resolution
-// kind, and a well-formed comment on a declaration the inventory does
-// not contain (stale).
+// kind (the retired per-shard argument), and a well-formed comment on
+// a declaration the inventory does not contain (stale).
 var badResolveFixture = map[string]map[string]string{
 	"repro/internal/noc": {"noc.go": `package noc
 
@@ -57,7 +112,7 @@ var A int
 //m3vet:resolve timetaint owner wrong rule entirely
 var B int
 
-//m3vet:resolve sharedstate banana unknown kind
+//m3vet:resolve sharedstate shard each shard owns its partition
 var C int
 
 //m3vet:resolve sharedstate owner nothing inventories this
@@ -74,7 +129,7 @@ func TestResolveMalformedAndStaleComments(t *testing.T) {
 	wants := []string{
 		"malformed resolve comment",
 		`names rule "timetaint"`,
-		`unknown resolution "banana"`,
+		`unknown resolution "shard"`,
 		"matches no inventoried shared-state declaration",
 	}
 	for _, w := range wants {

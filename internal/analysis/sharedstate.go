@@ -9,19 +9,17 @@ import (
 	"strings"
 )
 
-// SharedState is the inventory pass behind ROADMAP item 2 (conservative
-// parallel DES). An *entry context* is one place the simulator can
-// start executing on behalf of a PE: a noc.Handler.Deliver
-// implementation (packet delivery), a callback scheduled on the sim
-// engine, or a process body spawned on it. Under today's sequential
-// engine these contexts interleave but never overlap; a parallel engine
-// would run them concurrently, so every location written by one entry
-// context and touched by another is a synchronization obligation. This
-// pass computes that set interprocedurally (call graph + effect
-// summaries) and emits it both as diagnostics (baselined — the
-// inventory is accepted debt, not a regression) and as the
-// machine-readable `m3vet -json` inventory the parallel-DES PR will
-// consume as its work-list.
+// SharedState is the shared-state inventory pass. An *entry context*
+// is one place the simulator can start executing on behalf of a PE: a
+// noc.Handler.Deliver implementation (packet delivery), a callback
+// scheduled on the sim engine, or a process body spawned on it. Under
+// the serial engine these contexts interleave but never overlap; any
+// parallel scheduler would run them concurrently, so every location
+// written by one entry context and touched by another is a
+// synchronization obligation. This pass computes that set
+// interprocedurally (call graph + effect summaries) and emits it both
+// as diagnostics (baselined — the inventory is accepted debt, not a
+// regression) and as the machine-readable `m3vet -json` inventory.
 var SharedState = &ModuleAnalyzer{
 	Name: "sharedstate",
 	Doc:  "inventory mutable state reachable from more than one PE entry context",
@@ -31,19 +29,15 @@ var SharedState = &ModuleAnalyzer{
 // entryContext pairs an entry-point function with how it becomes one.
 type entryContext struct {
 	node *FuncNode
-	how  string // "noc.Handler", "noc.ShardHandler", "sim.Schedule", "sim.ScheduleShard", "sim.Spawn", "tile.Start"
+	how  string // "noc.Handler", "sim.Schedule", "sim.Spawn", "tile.Start"
 }
 
 // spawnSites maps (package path, method name) of the functions whose
-// func-typed arguments become entry contexts. ScheduleShard callbacks
-// are additionally *shard* contexts: they run concurrently between
-// barriers under the parallel engine (the parsafe pass keys off the
-// how string).
+// func-typed arguments become entry contexts.
 var spawnSites = map[[2]string]string{
-	{"repro/internal/sim", "Schedule"}:      "sim.Schedule",
-	{"repro/internal/sim", "ScheduleShard"}: "sim.ScheduleShard",
-	{"repro/internal/sim", "Spawn"}:         "sim.Spawn",
-	{"repro/internal/tile", "Start"}:        "tile.Start",
+	{"repro/internal/sim", "Schedule"}: "sim.Schedule",
+	{"repro/internal/sim", "Spawn"}:    "sim.Spawn",
+	{"repro/internal/tile", "Start"}:   "tile.Start",
 }
 
 // FindEntryContexts discovers the entry contexts of the module, in
@@ -64,17 +58,6 @@ func FindEntryContexts(g *CallGraph) []entryContext {
 		if deliver != nil {
 			for _, impl := range g.implementers(iface, deliver) {
 				add(impl, "noc.Handler")
-			}
-		}
-	}
-
-	// 1b. noc.ShardHandler implementations: sharded packet delivery,
-	// running concurrently between barriers under the parallel engine.
-	if iface := lookupInterface(g.pkgs, "repro/internal/noc", "ShardHandler"); iface != nil {
-		deliver := lookupMethod(iface, "DeliverShard")
-		if deliver != nil {
-			for _, impl := range g.implementers(iface, deliver) {
-				add(impl, "noc.ShardHandler")
 			}
 		}
 	}
@@ -183,11 +166,9 @@ type InventoryEntry struct {
 	// least one other: the synchronization work-list.
 	Shared bool
 	// Resolution is the synchronization argument recorded by a
-	// //m3vet:resolve comment on the declaration ("owner", "shard" or
-	// "message" — see resolve.go), or "" while the entry is still open
-	// work-list debt. Resolved entries stop producing sharedstate
-	// findings; "shard" is additionally what licenses a write from a
-	// shard context (the parsafe pass).
+	// //m3vet:resolve comment on the declaration ("owner" or "message"
+	// — see resolve.go), or "" while the entry is still open work-list
+	// debt. Resolved entries stop producing sharedstate findings.
 	Resolution string
 	// ResolutionNote is the resolve comment's mandatory reason.
 	ResolutionNote string
@@ -198,7 +179,7 @@ type InventoryEntry struct {
 
 // BuildInventory computes the shared-state inventory over the module.
 // Only locations declared in simulation-facing packages participate:
-// host-side tooling state is invisible to the parallel engine.
+// host-side tooling state is not simulation state.
 func BuildInventory(g *CallGraph, sums *Summaries) []InventoryEntry {
 	entries := FindEntryContexts(g)
 	type access struct {
@@ -309,7 +290,7 @@ func runSharedState(pass *ModulePass) {
 		}
 		// A //m3vet:resolve annotation retires the entry from the
 		// work-list: the synchronization plan it demanded now exists and
-		// is recorded (and, for shard resolutions, checked by parsafe).
+		// is recorded.
 		if entry.Resolution != "" {
 			continue
 		}

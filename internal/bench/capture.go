@@ -42,9 +42,6 @@ var CaptureWorkloads = map[string]string{
 
 // CaptureRunOptions parameterizes one capture run.
 type CaptureRunOptions struct {
-	// Engine selects the simulation engine; captures are byte-identical
-	// across every variant (the differential contract).
-	Engine sim.Config
 	// DispatchCostDelta seeds a kernel-side cost regression (the m3diff
 	// self-test); zero captures the unperturbed tree.
 	DispatchCostDelta sim.Time
@@ -68,7 +65,6 @@ func RunWorkloadCapture(name string, opt CaptureRunOptions) (*obs.RunCapture, er
 	mopt := M3Options{
 		Obs:               tr,
 		SampleEvery:       witnessSampleEvery,
-		Engine:            opt.Engine,
 		DispatchCostDelta: opt.DispatchCostDelta,
 	}
 	if _, _, err := RunM3Stats(b, mopt); err != nil {

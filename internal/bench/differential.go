@@ -10,33 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// The differential engine harness: every workload the tier-1 suite
-// exercises is run under each engine configuration — the reference
-// binary-heap event queue, the production calendar queue, and the
-// conservative parallel engine at several worker counts — and every
-// observable byte of the run is hashed into a witness. Two engine
-// configurations are equivalent exactly when their witnesses are
-// identical; TestEngineEquivalence enforces this for the whole matrix
-// on every CI run.
-
-// EngineVariant names one engine configuration under differential test.
-type EngineVariant struct {
-	Name string
-	Cfg  sim.Config
-}
-
-// EngineVariants returns the configuration matrix. The first entry is
-// the reference: the binary heap kept precisely so the calendar queue
-// and the parallel engine have a trusted baseline to differ against.
-func EngineVariants() []EngineVariant {
-	return []EngineVariant{
-		{"serial-heap", sim.Config{Queue: sim.QueueHeap}},
-		{"serial-calendar", sim.Config{}},
-		{"parallel-2", sim.Config{Workers: 2}},
-		{"parallel-4", sim.Config{Workers: 4}},
-		{"parallel-8", sim.Config{Workers: 8}},
-	}
-}
+// The differential witness harness: a workload run with every
+// observability stream armed is hashed, byte for byte, into a witness.
+// Two runs are behaviourally identical exactly when their witnesses
+// are equal. TestDifferentialWitnessGolden pins the witness of every
+// tier-1 workload to a committed golden file, so any change that moves
+// one observable byte of a run fails CI.
 
 // DifferentialWitness condenses everything observable about one run.
 // Two runs are behaviourally identical iff their witnesses are equal —
@@ -67,19 +46,16 @@ func (w DifferentialWitness) String() string {
 }
 
 // differentialSampleEvery keeps the metrics sampler armed during
-// differential runs so sampler events participate in the equivalence
-// check too.
+// differential runs so sampler events participate in the witness too.
 const differentialSampleEvery sim.Time = 4096
 
-// RunDifferential executes n instances of b under the given fault plan
-// on one engine configuration, with every observability stream armed,
-// and returns the run's witness. The fault plan matters: asynchronous
-// control traffic (acks, nacks) is the only NoC path that uses
-// sharded delivery, and it only exists under fault injection — a
-// lossless differential run would leave the parallel engine's most
-// delicate path untested.
-func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config) (DifferentialWitness, error) {
-	return RunDifferentialOverload(b, n, plan, cfg, nil)
+// RunDifferential executes n instances of b under the given fault plan,
+// with every observability stream armed, and returns the run's
+// witness. The fault plan matters: asynchronous control traffic (acks,
+// nacks) only exists under fault injection, so a lossless run leaves
+// the reliability layer untested.
+func RunDifferential(b workload.Benchmark, n int, plan fault.Plan) (DifferentialWitness, error) {
+	return RunDifferentialOverload(b, n, plan, nil)
 }
 
 // RunDifferentialOverload is RunDifferential with an overload policy
@@ -87,7 +63,7 @@ func RunDifferential(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Confi
 // an armed-but-idle policy (zero deadline, zero watermarks) must
 // produce a witness bit-identical to a nil policy — not one extra
 // event, trace line, or metric (TestOverloadIdleBitIdentical).
-func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, cfg sim.Config, ov *OverloadSpec) (DifferentialWitness, error) {
+func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, ov *OverloadSpec) (DifferentialWitness, error) {
 	var w DifferentialWitness
 	obsHash := fnv.New64a()
 	var buf [obs.EncodedSize]byte
@@ -99,7 +75,6 @@ func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, cfg s
 	opt := M3Options{
 		Obs:         tr,
 		SampleEvery: differentialSampleEvery,
-		Engine:      cfg,
 		Overload:    ov,
 		Tracer: func(at sim.Time, source, event string) {
 			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -66,12 +65,12 @@ func writeCritPathReport(t *testing.T, cp *obs.CritPath, slos *obs.SLOSet) []byt
 // critPathRun executes one workload with the attribution engine and
 // SLO set wired as the tracer sink and returns the run statistics plus
 // the serialized report.
-func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, []byte) {
+func critPathRun(t *testing.T, b workload.Benchmark) (RunStats, []byte) {
 	t.Helper()
 	slos := benchSLOSet()
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: 4, SLO: slos})
 	tr := obs.New(obs.Options{Sink: cp.Consume})
-	_, st, err := RunM3Stats(b, M3Options{Obs: tr, Engine: cfg})
+	_, st, err := RunM3Stats(b, M3Options{Obs: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,8 @@ func critPathRun(t *testing.T, b workload.Benchmark, cfg sim.Config) (RunStats, 
 	return st, writeCritPathReport(t, cp, slos)
 }
 
-// TestCritPathReportDeterministic: three serial runs plus a parallel-4
-// run of the same workload must produce byte-identical attribution
+// TestCritPathReportDeterministic: three runs of the same workload
+// must produce byte-identical attribution
 // reports — counters, quantile blame, exemplar span trees, folded
 // stacks, and SLO snapshot (the m3slo acceptance gate).
 func TestCritPathReportDeterministic(t *testing.T) {
@@ -90,22 +89,15 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1, rep1 := critPathRun(t, b, sim.Config{})
+	st1, rep1 := critPathRun(t, b)
 	for i := 0; i < 2; i++ {
-		st2, rep2 := critPathRun(t, b, sim.Config{})
+		st2, rep2 := critPathRun(t, b)
 		if st1 != st2 {
-			t.Fatalf("serial rerun %d: run stats differ: %+v vs %+v", i+2, st2, st1)
+			t.Fatalf("rerun %d: run stats differ: %+v vs %+v", i+2, st2, st1)
 		}
 		if !bytes.Equal(rep1, rep2) {
-			t.Fatalf("serial rerun %d: report differs:\n%s\n---\n%s", i+2, rep2, rep1)
+			t.Fatalf("rerun %d: report differs:\n%s\n---\n%s", i+2, rep2, rep1)
 		}
-	}
-	stP, repP := critPathRun(t, b, sim.Config{Workers: 4})
-	if st1 != stP {
-		t.Fatalf("parallel-4 run stats differ: %+v vs %+v", stP, st1)
-	}
-	if !bytes.Equal(rep1, repP) {
-		t.Fatalf("parallel-4 report differs from serial:\n%s\n---\n%s", repP, rep1)
 	}
 }
 
@@ -186,20 +178,14 @@ func TestCritPathSLOZeroOverhead(t *testing.T) {
 	}
 }
 
-// TestETailEngineEquivalence: the E-tail experiment must produce the
+// TestETailDeterministic: the E-tail experiment must produce the
 // identical result — every blame cell, SLO count, and the per-workload
-// population witness — on the serial reference, the calendar queue,
-// and the parallel engine.
-func TestETailEngineEquivalence(t *testing.T) {
+// population witness — on every rerun.
+func TestETailDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("engine sweep in -short mode")
+		t.Skip("rerun sweep in -short mode")
 	}
-	variants := []EngineVariant{
-		{"serial-heap", sim.Config{Queue: sim.QueueHeap}},
-		{"serial-calendar", sim.Config{}},
-		{"parallel-4", sim.Config{Workers: 4}},
-	}
-	ref, err := ETailEngine(variants[0].Cfg)
+	ref, err := ETail()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +194,13 @@ func TestETailEngineEquivalence(t *testing.T) {
 			t.Fatalf("%s: empty request population: %+v", wr.Workload, wr)
 		}
 	}
-	for _, v := range variants[1:] {
-		got, err := ETailEngine(v.Cfg)
+	for i := 0; i < 2; i++ {
+		got, err := ETail()
 		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
+			t.Fatalf("rerun %d: %v", i+2, err)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("%s: E-tail result differs from %s:\n%+v\n---\n%+v",
-				v.Name, variants[0].Name, got, ref)
+			t.Fatalf("rerun %d: E-tail result differs:\n%+v\n---\n%+v", i+2, got, ref)
 		}
 	}
 }

@@ -69,10 +69,8 @@ type M3Options struct {
 	// one sample. Zero keeps the sampler off, scheduling no extra
 	// events — RunStats stay bit-identical to a sampler-free run.
 	SampleEvery sim.Time
-	// Engine configures the simulation engine (event queue kind,
-	// parallel workers). Every configuration produces byte-identical
-	// runs; the zero value is the production default. The differential
-	// harness (differential.go) sweeps this field.
+	// Engine is passed to sim.NewEngineWith by callers that build their
+	// own engine. sim.Config has no options, so it changes nothing.
 	Engine sim.Config
 	// DispatchCostDelta perturbs the kernel's per-syscall dispatch cost
 	// (core.CostDispatch) by the given number of cycles — the seeded
@@ -121,7 +119,7 @@ func bootM3(opt M3Options, appPEs int) *m3System {
 // bootM3NoFS builds the platform and kernel without starting m3fs, for
 // harness variants that need the service handle.
 func bootM3NoFS(opt M3Options, appPEs int) *m3System {
-	eng := sim.NewEngineWith(opt.Engine)
+	eng := sim.NewEngine()
 	types := []tile.CoreType{tile.CoreXtensa, tile.CoreXtensa} // kernel, m3fs
 	for i := 0; i < appPEs+opt.ExtraPEs; i++ {
 		types = append(types, tile.CoreXtensa)
@@ -282,18 +280,11 @@ func RunLx(b workload.Benchmark, prof linuxos.Profile, cold bool) (Breakdown, er
 // their run phase together after every setup finished; the returned
 // value is the mean run time per instance.
 func RunM3Instances(b workload.Benchmark, n int) (sim.Time, error) {
-	return RunM3InstancesEngine(b, n, sim.Config{})
-}
-
-// RunM3InstancesEngine is RunM3Instances on an explicit engine
-// configuration (m3sim's -engine/-parallel flags).
-func RunM3InstancesEngine(b workload.Benchmark, n int, eng sim.Config) (sim.Time, error) {
 	opt := M3Options{
 		NoCUnlimited: true,
 		DRAMPorts:    64,
 		DRAMSize:     512 << 20,
 		FS:           m3fs.Config{RegionSize: 384 << 20},
-		Engine:       eng,
 	}
 	s := bootM3(opt, n*b.PEs)
 	ready := 0

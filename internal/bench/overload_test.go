@@ -9,7 +9,6 @@ import (
 	"repro/internal/kif"
 	"repro/internal/m3"
 	"repro/internal/overload"
-	"repro/internal/sim"
 	"repro/internal/tile"
 	"repro/internal/workload"
 )
@@ -77,12 +76,11 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 }
 
 // TestOverloadDeterminism: the sweep is bit-reproducible — three runs
-// on the serial engine and three on the 4-worker parallel engine must
-// produce identical witnesses at every load point.
+// must produce identical witnesses at every load point.
 func TestOverloadDeterminism(t *testing.T) {
 	var ref *ELoadResult
-	check := func(name string, cfg sim.Config) {
-		r, err := ELoadEngine(cfg)
+	check := func(name string) {
+		r, err := ELoad()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,10 +101,7 @@ func TestOverloadDeterminism(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("serial#%d", i), sim.Config{})
-	}
-	for i := 0; i < 3; i++ {
-		check(fmt.Sprintf("parallel-4#%d", i), sim.Config{Workers: 4})
+		check(fmt.Sprintf("run#%d", i))
 	}
 }
 
@@ -121,21 +116,16 @@ func TestOverloadIdleBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := &OverloadSpec{} // armed, but every knob at its off default
-	for _, cfg := range []struct {
-		name string
-		cfg  sim.Config
-	}{{"serial", sim.Config{}}, {"parallel-4", sim.Config{Workers: 4}}} {
-		off, err := RunDifferential(b, 2, differentialPlan(), cfg.cfg)
-		if err != nil {
-			t.Fatalf("%s off: %v", cfg.name, err)
-		}
-		on, err := RunDifferentialOverload(b, 2, differentialPlan(), cfg.cfg, idle)
-		if err != nil {
-			t.Fatalf("%s idle: %v", cfg.name, err)
-		}
-		if off != on {
-			t.Errorf("%s: idle overload stack perturbed the run:\n  off: %v\n  on:  %v", cfg.name, off, on)
-		}
+	off, err := RunDifferential(b, 2, differentialPlan())
+	if err != nil {
+		t.Fatalf("off: %v", err)
+	}
+	on, err := RunDifferentialOverload(b, 2, differentialPlan(), idle)
+	if err != nil {
+		t.Fatalf("idle: %v", err)
+	}
+	if off != on {
+		t.Errorf("idle overload stack perturbed the run:\n  off: %v\n  on:  %v", off, on)
 	}
 }
 

@@ -100,8 +100,8 @@ type ELoadPoint struct {
 // interval 0 is the closed-loop capacity probe (clients fire
 // back-to-back); armed false runs the same fleet with every overload
 // knob off (the capacity baseline measures the unarmed system).
-func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoint, error) {
-	opt := M3Options{Engine: engCfg}
+func runELoadPoint(interval sim.Time, armed bool) (*ELoadPoint, error) {
+	var opt M3Options
 	if armed {
 		opt.Overload = ELoadSpec()
 	}
@@ -264,11 +264,6 @@ func runELoadPoint(interval sim.Time, armed bool, engCfg sim.Config) (*ELoadPoin
 	return res, nil
 }
 
-// ELoadCapacity measures the closed-loop, unarmed capacity baseline.
-func ELoadCapacity(engCfg sim.Config) (*ELoadPoint, error) {
-	return runELoadPoint(0, false, engCfg)
-}
-
 // ELoadIntervalFor converts a capacity measurement and an offered-load
 // multiplier into the per-client arrival interval: the fleet together
 // offers mult times the measured capacity.
@@ -293,17 +288,10 @@ type ELoadResult struct {
 // ELoadMults are the offered-load multipliers of the sweep.
 var ELoadMults = []float64{0.5, 1, 2}
 
-// ELoad runs the sweep: capacity probe, then the armed open-loop
-// points.
+// ELoad runs the sweep: the closed-loop, unarmed capacity probe, then
+// the armed open-loop points.
 func ELoad() (*ELoadResult, error) {
-	return ELoadEngine(sim.Config{})
-}
-
-// ELoadEngine is ELoad on an explicit engine configuration (the
-// determinism gate sweeps it; every configuration must produce the
-// identical witness).
-func ELoadEngine(engCfg sim.Config) (*ELoadResult, error) {
-	capacity, err := ELoadCapacity(engCfg)
+	capacity, err := runELoadPoint(0, false)
 	if err != nil {
 		return nil, fmt.Errorf("eload capacity: %w", err)
 	}
@@ -313,7 +301,7 @@ func ELoadEngine(engCfg sim.Config) (*ELoadResult, error) {
 	res := &ELoadResult{Capacity: capacity}
 	for _, mult := range ELoadMults {
 		interval := ELoadIntervalFor(capacity, mult)
-		p, err := runELoadPoint(interval, true, engCfg)
+		p, err := runELoadPoint(interval, true)
 		if err != nil {
 			return nil, fmt.Errorf("eload x%g: %w", mult, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -58,9 +57,9 @@ type BenchExperiment struct {
 // BenchFile is the serialized bench run. It deliberately carries no
 // wall-clock timestamps, host names, or toolchain strings: two runs of
 // the same tree produce byte-identical files — with one flagged
-// exception, the witness's events-per-wall-second throughput metric,
-// which is host-dependent by design and rides in an "info" metric so
-// -diff reports it but never gates on it.
+// exception, the per-experiment events-per-wall-second throughput
+// metric m3bench appends, which is host-dependent by design and rides
+// in an "info" metric so -diff reports it but never gates on it.
 type BenchFile struct {
 	Schema      int               `json:"schema"`
 	Experiments []BenchExperiment `json:"experiments"`
@@ -74,8 +73,20 @@ type BenchFile struct {
 
 // WriteJSON renders the file as indented JSON with a trailing newline.
 // encoding/json serializes struct slices in order, so the output is
-// deterministic.
+// deterministic. A metric key ("exp:metric") that occurs twice is an
+// error: -diff indexes metrics by key and could compare only one of
+// them.
 func (f *BenchFile) WriteJSON(w io.Writer) error {
+	seen := make(map[string]bool)
+	for _, e := range f.Experiments {
+		for _, m := range e.Metrics {
+			k := e.Name + ":" + m.Name
+			if seen[k] {
+				return fmt.Errorf("bench: duplicate metric key %s", k)
+			}
+			seen[k] = true
+		}
+	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -188,20 +199,9 @@ func RunWitness() (BenchExperiment, error) {
 			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)
 		},
 	}
-	wallStart := time.Now() //m3vet:allow timetaint events/sec throughput is wall-clock by definition; "info" unit keeps it out of the diff gate
 	_, st, err := RunM3Stats(b, opt)
-	wall := time.Since(wallStart)
 	if err != nil {
 		return exp, err
-	}
-	// Simulator throughput: executed events per second of host wall
-	// clock. This is the optimization target of the calendar-queue and
-	// pooled-allocation work; recording it in every bench file makes
-	// engine-speed regressions visible in the -diff notes without ever
-	// failing CI on a slow machine.
-	eventsPerSec := 0.0
-	if wall > 0 {
-		eventsPerSec = float64(st.ExecutedEvents) / wall.Seconds()
 	}
 	snapHash := fnv.New64a()
 	snapHash.Write([]byte(tr.Metrics().Snapshot()))
@@ -209,7 +209,6 @@ func RunWitness() (BenchExperiment, error) {
 		{Name: "witness/executed_events", Value: float64(st.ExecutedEvents), Unit: "info"},
 		{Name: "witness/final_time", Value: float64(st.FinalTime), Unit: "info"},
 		{Name: "witness/obs_events", Value: float64(events), Unit: "info"},
-		{Name: "witness/events_per_sec_wall", Value: eventsPerSec, Unit: "info"},
 		{Name: "witness/obs_stream_hash", Unit: "info", Info: fmt.Sprintf("%016x", obsHash.Sum64())},
 		{Name: "witness/legacy_trace_hash", Unit: "info", Info: fmt.Sprintf("%016x", legacyHash.Sum64())},
 		{Name: "witness/metrics_snapshot_hash", Unit: "info", Info: fmt.Sprintf("%016x", snapHash.Sum64())},

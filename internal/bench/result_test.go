@@ -16,30 +16,12 @@ import (
 // (the acceptance witness), the regression gate's pass/fail behaviour,
 // and the sampler's zero-overhead contract.
 
-// witnessJSON runs the determinism witness and serializes it, zeroing
-// the one by-design wall-clock metric (events/sec throughput) so the
-// rest of the file can be compared byte-for-byte.
+// witnessJSON runs the determinism witness and serializes it.
 func witnessJSON(t *testing.T) []byte {
 	t.Helper()
 	exp, err := RunWitness()
 	if err != nil {
 		t.Fatal(err)
-	}
-	sawWall := false
-	for i := range exp.Metrics {
-		if exp.Metrics[i].Name == "witness/events_per_sec_wall" {
-			if exp.Metrics[i].Value <= 0 {
-				t.Fatalf("events_per_sec_wall = %v, want > 0", exp.Metrics[i].Value)
-			}
-			if exp.Metrics[i].Unit != "info" {
-				t.Fatalf("events_per_sec_wall unit = %q; must be \"info\" so -diff never gates on host speed", exp.Metrics[i].Unit)
-			}
-			exp.Metrics[i].Value = 0
-			sawWall = true
-		}
-	}
-	if !sawWall {
-		t.Fatal("witness is missing the events_per_sec_wall throughput metric")
 	}
 	f := &BenchFile{Schema: BenchSchema, Experiments: []BenchExperiment{exp}}
 	var buf bytes.Buffer
@@ -51,8 +33,7 @@ func witnessJSON(t *testing.T) []byte {
 
 // TestBenchJSONDeterministic: three witness runs must serialize to
 // byte-identical JSON — no map ordering, no nondeterministic hashes,
-// and no wall-clock fields beyond the one flagged throughput metric
-// (normalized away by witnessJSON).
+// and no wall-clock fields.
 func TestBenchJSONDeterministic(t *testing.T) {
 	first := witnessJSON(t)
 	if len(first) == 0 || !bytes.Contains(first, []byte(`"schema": 1`)) {
@@ -257,6 +238,28 @@ func TestReadBenchJSONSchemaGate(t *testing.T) {
 	}
 	if len(got.Experiments) != 2 || got.Experiments[0].Metrics[0].Value != 1000 {
 		t.Fatalf("roundtrip mangled the file: %+v", got)
+	}
+}
+
+// TestWriteJSONRejectsDuplicateKey: a bench file may not carry one
+// exp:metric key twice — -diff would silently compare only the last.
+func TestWriteJSONRejectsDuplicateKey(t *testing.T) {
+	f := sampleFile()
+	w := &f.Experiments[1]
+	w.Metrics = append(w.Metrics, BenchMetric{Name: "witness/obs_stream_hash", Unit: "info", Info: "bbbb"})
+	var buf bytes.Buffer
+	err := f.WriteJSON(&buf)
+	if err == nil || !strings.Contains(err.Error(), "witness:witness/obs_stream_hash") {
+		t.Fatalf("duplicate key not rejected: err=%v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected file still wrote %d bytes", buf.Len())
+	}
+	// The same metric name under two experiments is two distinct keys.
+	f = sampleFile()
+	f.Experiments[1].Metrics = append(f.Experiments[1].Metrics, f.Experiments[0].Metrics[0])
+	if err := f.WriteJSON(&buf); err != nil {
+		t.Fatalf("distinct keys rejected: %v", err)
 	}
 }
 

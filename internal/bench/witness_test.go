@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -33,7 +32,7 @@ func TestDifferentialWitnessGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, b := range workload.All() {
 		for _, p := range plans {
-			w, err := RunDifferential(b, 2, p.plan, sim.Config{})
+			w, err := RunDifferential(b, 2, p.plan)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, p.name, err)
 			}
@@ -59,5 +58,33 @@ func TestDifferentialWitnessGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("differential witness differs from %s:\ngot:\n%s\nwant:\n%s", path, got.Bytes(), want)
+	}
+}
+
+// differentialPlan is the lossy fault plan of the differential runs: a
+// dropping, corrupting NoC. It exercises retransmission, NACKs, and
+// the asynchronous control traffic a lossless model never sends.
+func differentialPlan() fault.Plan {
+	return fault.Plan{Seed: chaosSeed, DropRate: 0.01, CorruptRate: 0.002}
+}
+
+// TestDifferentialRunIsDeterministic: one workload, run twice, must
+// witness-match itself — the precondition for the golden file to mean
+// anything.
+func TestDifferentialRunIsDeterministic(t *testing.T) {
+	b, err := workload.ByName("cat+tr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := RunDifferential(b, 2, differentialPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := RunDifferential(b, 2, differentialPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != c {
+		t.Fatalf("differential run not self-deterministic:\n  1st: %v\n  2nd: %v", a, c)
 	}
 }

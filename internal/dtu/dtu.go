@@ -62,9 +62,9 @@ type DTU struct {
 	faults *FaultConfig
 	//m3vet:resolve sharedstate owner sequence numbers are minted in transmit, process context
 	nextSeq uint64
-	//m3vet:resolve sharedstate owner the send table is inserted/deleted in transmit; shard delivery only reads it (ack/nack flags are per-entry, see pendingSend)
+	//m3vet:resolve sharedstate owner the send table is inserted/deleted in transmit and read in Deliver, one context at a time under the engine's strict hand-off
 	sends map[uint64]*pendingSend
-	//m3vet:resolve sharedstate owner dedup windows are updated in serial Deliver, which shard code reaches through sc.Defer
+	//m3vet:resolve sharedstate owner dedup windows are updated in Deliver, which runs on the engine goroutine
 	seen       map[noc.NodeID]*dedupState
 	coreStatus func() bool
 
@@ -793,60 +793,6 @@ func (d *DTU) Deliver(pkt *noc.Packet) {
 	default:
 		panic(fmt.Sprintf("dtu: unknown packet payload %T", pkt.Payload))
 	}
-}
-
-// DeliverShard implements noc.ShardHandler: it is Deliver for the
-// parallel engine, running on the shard that owns this DTU's node id.
-// Only state owned by the destination DTU is touched inline (the
-// poison counter, the pending-send flags — all written only under this
-// node's shard or in serial context); everything with wider reach —
-// trace/obs emission, control-packet sends, signal broadcasts, and the
-// whole payload-delivery path — is deferred to the serial barrier in
-// the exact order serial Deliver would apply it.
-func (d *DTU) DeliverShard(sc *sim.ShardCtx, pkt *noc.Packet) {
-	if pkt.Corrupt {
-		d.Stats.Poisoned++
-		src, seq, span := pkt.Src, pkt.Seq, pkt.Span
-		if sc.Tracing() {
-			sc.Emit(d.traceName(), fmt.Sprintf("poisoned pkt from node%d seq %d", src, seq))
-		}
-		if tr := d.obs; tr.On() {
-			at := sc.Now()
-			sc.Defer(func() {
-				tr.Emit(obs.Event{At: at, PE: int32(d.node), Layer: obs.LDTU,
-					Kind: obs.EvPoisoned, Span: obs.SpanID(span),
-					Arg0: uint64(src), Arg1: seq})
-			})
-		}
-		if seq != 0 {
-			sc.Defer(func() {
-				if tr := d.obs; tr.On() {
-					d.mNacks.Inc()
-				}
-				d.sendCtrl(src, &nackPacket{Seq: seq})
-			})
-		}
-		return
-	}
-	switch pl := pkt.Payload.(type) {
-	case *ackPacket:
-		if ps, ok := d.sends[pl.Seq]; ok {
-			ps.acked = true
-			sc.Defer(ps.done.Broadcast)
-		}
-		return
-	case *nackPacket:
-		if ps, ok := d.sends[pl.Seq]; ok && !ps.acked {
-			ps.nacked = true
-			sc.Defer(ps.done.Broadcast)
-		}
-		return
-	}
-	// Everything else — dedup bookkeeping, ringbuffer writes, credit
-	// refills, request queuing, op completion — wakes processes or
-	// crosses into shared structures; run the serial path wholesale at
-	// the barrier.
-	sc.Defer(func() { d.Deliver(pkt) })
 }
 
 // receive places a message into the ringbuffer of receive endpoint ep,

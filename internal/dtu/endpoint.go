@@ -203,7 +203,7 @@ type Stats struct {
 	OpTimeouts uint64
 	//m3vet:resolve sharedstate owner counted in process context or serial delivery
 	DupsDropped uint64
-	//m3vet:resolve sharedstate shard only the destination shard's delivery context counts poisoned arrivals at its own DTU
+	//m3vet:resolve sharedstate owner counted in Deliver on the engine goroutine
 	Poisoned uint64
 
 	// Overload-control counters, nonzero only with EnableOverload:

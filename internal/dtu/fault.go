@@ -143,9 +143,9 @@ func (fc *FaultConfig) stall(p *sim.Process) {
 // pendingSend tracks one reliable outbound transfer awaiting its ack.
 type pendingSend struct {
 	done *sim.Signal
-	//m3vet:resolve sharedstate shard only the destination shard's delivery context flips the flag for packets it received; the sender polls it at the barrier
+	//m3vet:resolve sharedstate owner flipped by the receiving DTU's Deliver on the engine goroutine; the sending process reads it after its signal wakes it under the strict hand-off
 	acked bool
-	//m3vet:resolve sharedstate shard only the destination shard's delivery context flips the flag for packets it received; the sender polls it at the barrier
+	//m3vet:resolve sharedstate owner flipped by the receiving DTU's Deliver on the engine goroutine; the sending process reads it after its signal wakes it under the strict hand-off
 	nacked bool
 }
 

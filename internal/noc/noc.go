@@ -58,7 +58,7 @@ type Packet struct {
 	Retain bool
 
 	// next links the network's packet freelist.
-	//m3vet:resolve sharedstate owner freelist links are only touched by NewPacket/FreePacket, which run serially (shard code frees through sc.Defer)
+	//m3vet:resolve sharedstate owner freelist links are only touched by NewPacket/FreePacket, which run on the engine goroutine or under its strict hand-off
 	next *Packet
 }
 
@@ -97,24 +97,6 @@ type HandlerFunc func(pkt *Packet)
 // Deliver calls f(pkt).
 func (f HandlerFunc) Deliver(pkt *Packet) { f(pkt) }
 
-// ShardHandler is an optional extension of Handler for nodes that can
-// consume asynchronous control packets in parallel shard context. When
-// the destination handler implements it, SendAsync delivers through
-// DeliverShard on the destination node's shard (shard id == NodeID)
-// instead of a serial event, letting a parallel engine (sim.Config
-// Workers > 1) process same-cycle control traffic to different nodes
-// concurrently.
-//
-// DeliverShard may touch only state owned by the destination node and
-// must route every other effect — scheduling, counters, trace output,
-// packet frees — through the sim.ShardCtx. Implementations unsure
-// about a payload defer the whole delivery: sc.Defer(func() {
-// h.Deliver(pkt) }) reproduces serial semantics exactly.
-type ShardHandler interface {
-	Handler
-	DeliverShard(sc *sim.ShardCtx, pkt *Packet)
-}
-
 // Config parameterizes a mesh network.
 type Config struct {
 	Width, Height int
@@ -146,9 +128,9 @@ type Network struct {
 	obs      *obs.Tracer
 
 	// PacketsSent counts injected packets; BytesSent the wire bytes.
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, which shard code reaches only through deferred acts
+	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, one context at a time under the engine's strict hand-off
 	PacketsSent uint64
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, which shard code reaches only through deferred acts
+	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, one context at a time under the engine's strict hand-off
 	BytesSent uint64
 	// PacketsDropped and PacketsCorrupted count fault-injected losses
 	// and header corruptions.
@@ -158,8 +140,8 @@ type Network struct {
 	PacketsCorrupted uint64
 
 	// free heads the packet freelist. All alloc/free sites run in
-	// serial engine or process context (shard-context frees are
-	// deferred to the batch barrier), so a plain list suffices.
+	// engine or process context, one at a time under the engine's
+	// strict hand-off, so a plain list suffices.
 	//m3vet:resolve sharedstate owner pool head moves only in NewPacket/FreePacket, serial by the ownership rules above
 	free *Packet
 }
@@ -420,14 +402,6 @@ func (n *Network) Send(p *sim.Process, pkt *Packet) {
 // event. It models autonomous DTU control traffic (acknowledgements,
 // probes) emitted from engine context where no process is available.
 // Link occupancy is not modelled for these few-byte control packets.
-//
-// When the destination handler implements ShardHandler, delivery is
-// scheduled on the destination node's shard: under a parallel engine,
-// same-cycle control packets to different nodes are then consumed
-// concurrently. The hop-latency lookahead makes this safe — the
-// transfer time is at least one cycle, so a delivery event is always
-// scheduled strictly in the future and every event of a cycle was
-// recorded before that cycle's batch starts (docs/PARALLEL.md).
 func (n *Network) SendAsync(pkt *Packet) {
 	n.checkNode(pkt.Src)
 	n.checkNode(pkt.Dst)
@@ -453,18 +427,7 @@ func (n *Network) SendAsync(pkt *Packet) {
 	if h == nil {
 		panic(fmt.Sprintf("noc: packet for unattached node %d", pkt.Dst))
 	}
-	delay := n.TransferTime(pkt.Src, pkt.Dst, pkt.Size)
-	if sh, ok := h.(ShardHandler); ok {
-		n.eng.ScheduleShard(int(pkt.Dst), delay, func(sc *sim.ShardCtx) {
-			sh.DeliverShard(sc, pkt)
-			// The pool is engine-owned shared state: free at the
-			// barrier, after any Retain set inside DeliverShard is
-			// visible.
-			sc.Defer(func() { n.finishDelivery(pkt) })
-		})
-		return
-	}
-	n.eng.Schedule(delay, func() {
+	n.eng.Schedule(n.TransferTime(pkt.Src, pkt.Dst, pkt.Size), func() {
 		h.Deliver(pkt)
 		n.finishDelivery(pkt)
 	})

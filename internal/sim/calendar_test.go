@@ -1,13 +1,38 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
 
+// heapQueue is the reference event queue: a plain binary heap over
+// (at, seq), the oracle the calendar queue is cross-checked against.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
+
+func (q *heapQueue) pop() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+
+func (q *heapQueue) peek() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
+
 // drainCompare pops both queues empty, asserting identical (at, seq)
 // order, and returns the number of events drained.
-func drainCompare(t *testing.T, cal, hp eventQueue) int {
+func drainCompare(t *testing.T, cal *calendarQueue, hp *heapQueue) int {
 	t.Helper()
 	n := 0
 	for {
@@ -222,22 +247,20 @@ func FuzzEventQueue(f *testing.F) {
 			}
 		}
 
-		// Schedule-after-deadlock must panic regardless of queue kind.
-		for _, q := range []QueueKind{QueueCalendar, QueueHeap} {
-			e := NewEngineWith(Config{Queue: q})
-			e.Spawn("stuck", func(p *Process) { NewSignal(e).Wait(p) })
-			e.Run()
-			if !e.Deadlocked() {
-				t.Fatal("expected deadlock")
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("queue %d: Schedule after deadlock must panic", q)
-					}
-				}()
-				e.Schedule(0, func() {})
-			}()
+		// Schedule-after-deadlock must panic.
+		e := NewEngine()
+		e.Spawn("stuck", func(p *Process) { NewSignal(e).Wait(p) })
+		e.Run()
+		if !e.Deadlocked() {
+			t.Fatal("expected deadlock")
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Schedule after deadlock must panic")
+				}
+			}()
+			e.Schedule(0, func() {})
+		}()
 	})
 }

@@ -13,9 +13,9 @@ type Process struct {
 	eng    *Engine
 	name   string
 	resume chan struct{}
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
+	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
 	dead bool
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off, never in shard context
+	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
 	killed bool
 	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
 	daemon bool

@@ -37,8 +37,7 @@ func mix64(z uint64) uint64 {
 // Rand stream: where a stream's next value depends on how many draws
 // came before it (shared mutable position), a hash of an event's own
 // identity — seed, link, sequence number, cycle — yields the same
-// value no matter who else drew in between. Fault hooks that may one
-// day run under a parallel scheduler use this form.
+// value no matter who else drew in between.
 func Hash(words ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range words {

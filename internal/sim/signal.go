@@ -11,7 +11,7 @@ package sim
 //	}
 type Signal struct {
 	eng *Engine
-	//m3vet:resolve sharedstate owner Wait and Broadcast run in process or barrier context; shard code defers its broadcasts
+	//m3vet:resolve sharedstate owner Wait and Broadcast run in process or engine context, one goroutine at a time under the strict hand-off
 	waiters []*Process
 }
 
