@@ -11,8 +11,11 @@
 #              capflow); known-accepted findings are suppressed by
 #              vet-baseline.json and the shared-state inventory is kept
 #              as artifacts/sharedstate.json (see docs/ANALYSIS.md)
+#   simbench   the process-switch microbenchmarks of internal/sim
+#              (Sleep switch, Signal ping-pong), run briefly so they
+#              keep compiling and running
 #   tests      the full suite under the race detector — any data race
-#              would mean the sim's strict goroutine hand-off is broken
+#              would mean the sim's strict hand-off is broken
 #              — with shuffled test order, so no test can silently
 #              depend on a sibling running first
 #   chaos      the fault-injection tier: determinism under faults, the
@@ -40,6 +43,7 @@ go build ./...
 go vet ./...
 (cd _hostbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off go vet .)
 go run ./cmd/m3vet -json artifacts/sharedstate.json ./...
+go test -run '^$' -bench 'ProcessSwitch|SignalPingPong' -benchtime 100x ./internal/sim
 go test -race -shuffle=on ./...
 make chaos
 make fuzz

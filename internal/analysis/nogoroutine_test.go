@@ -30,11 +30,21 @@ func TestNoGoroutineFlagsConcurrencyOutsideSim(t *testing.T) {
 	})
 }
 
-func TestNoGoroutineAllowsEngineInternals(t *testing.T) {
-	// The same code inside internal/sim is the engine's own hand-off
-	// machinery and is exempt.
-	got := runOn(t, []*Analyzer{NoGoroutine}, "repro/internal/sim", map[string]string{"f.go": goroutineFixture}, nil)
-	checkFindings(t, got, nil)
+func TestNoGoroutineFlagsConcurrencyInsideSim(t *testing.T) {
+	// The engine hands off to coroutine processes and needs no Go
+	// concurrency of its own, so internal/sim has no exemption.
+	src := `package sim
+
+func spawn(fn func()) chan struct{} {
+	go fn()
+	return make(chan struct{})
+}
+`
+	got := runOn(t, []*Analyzer{NoGoroutine}, "repro/internal/sim", map[string]string{"f.go": src}, nil)
+	checkFindings(t, got, []finding{
+		{4, "nogoroutine"}, // go statement
+		{5, "nogoroutine"}, // make(chan)
+	})
 }
 
 func TestNoGoroutineCleanCodeIsQuiet(t *testing.T) {

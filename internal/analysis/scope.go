@@ -24,11 +24,6 @@ var simFacing = map[string]bool{
 	"repro/internal/obs":   true,
 }
 
-// simEnginePath is the only package allowed to use Go concurrency: the
-// engine's strict hand-off in sim/process.go is the single legal use of
-// goroutines and channels in the module.
-const simEnginePath = "repro/internal/sim"
-
 // calleeFunc resolves the function or method called by call, or nil if
 // the callee is not a named function (builtin, conversion, func value).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -58,9 +58,6 @@ type Engine struct {
 	//m3vet:resolve sharedstate owner event pool mutated by engine-side Schedule and step only
 	free *event
 
-	// parked is signalled by the currently running process when it
-	// yields control back to the engine.
-	parked chan struct{}
 	//m3vet:resolve sharedstate owner strict hand-off: set by the engine before waking a process
 	current *Process
 
@@ -80,7 +77,7 @@ type Engine struct {
 
 // NewEngine returns an engine with an empty event queue at time zero.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{}), queue: newCalendarQueue()}
+	return &Engine{queue: newCalendarQueue()}
 }
 
 // NewEngineWith is NewEngine; Config carries no options.
@@ -120,8 +117,8 @@ func (e *Engine) release(ev *event) {
 //
 // Scheduling onto a deadlocked engine (see Deadlocked) panics: any new
 // event could resume a process that the finished run left parked, and
-// the resulting interaction with a drained engine hangs on the internal
-// hand-off channel. A panic names the bug instead.
+// that run already reported it as stuck forever. A panic names the bug
+// instead of silently reviving it.
 func (e *Engine) Schedule(delay Time, fn func()) {
 	if e.deadlocked {
 		panic(fmt.Sprintf("sim: Schedule on deadlocked engine (%d processes parked forever)", e.liveProcs))
@@ -149,6 +146,8 @@ func (e *Engine) LiveProcesses() int { return e.liveProcs }
 // parked forever is a genuine deadlock: a client stuck waiting for a
 // message that will never come. Run records that as a deadlock — a
 // state in which scheduling new work is a bug; see Schedule.
+//
+// A panic in a process body propagates out of Run and RunUntil.
 func (e *Engine) Run() Time {
 	for e.queue.len() > 0 {
 		e.step()
@@ -216,15 +215,15 @@ func (e *Engine) step() {
 	fn()
 }
 
-// resume hands control to p and blocks the engine until p yields.
+// resume hands control to p and blocks the engine until p yields or
+// returns.
 func (e *Engine) resume(p *Process) {
 	if p.dead {
 		return
 	}
 	prev := e.current
 	e.current = p
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 	e.current = prev
 }
 

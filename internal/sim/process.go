@@ -1,18 +1,34 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a simulated thread of execution: a goroutine that runs in
-// strict hand-off with the engine. Process methods that block (Sleep,
-// Signal.Wait, Queue.Recv, Resource.Acquire) yield control back to the
-// engine and are resumed by a later event.
+// Process is a simulated thread of execution: an iter.Pull coroutine
+// that runs in strict hand-off with the engine. Process methods that
+// block (Sleep, Signal.Wait, Queue.Recv, Resource.Acquire) yield
+// control back to the engine and are resumed by a later event.
 //
-// A Process must only be used from its own goroutine (the function
-// passed to Spawn).
+// A Process must only be used from its own body (the function passed
+// to Spawn). A panic in the body, or a runtime.Goexit such as
+// t.FailNow, is re-raised by the engine out of Run or RunUntil to
+// their caller.
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	name string
+	// next resumes the coroutine until it yields or returns; yield,
+	// bound when the body first runs, parks it.
+	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
+	next func() (struct{}, bool)
+	//m3vet:resolve sharedstate owner set once when the coroutine first runs, used only by its own body
+	yield func(struct{}) bool
+	// wake is the cached event callback that resumes the process, so
+	// a blocking call schedules no new closure.
+	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
+	wake func()
 	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
 	dead bool
 	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
@@ -26,36 +42,24 @@ type Process struct {
 }
 
 // Spawn creates a process named name and schedules it to start at the
-// current simulated time. The function fn runs on its own goroutine in
+// current simulated time. The function fn runs as a coroutine in
 // hand-off with the engine; when fn returns the process terminates and
 // its Done signal fires.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	p.done = NewSignal(e)
-	e.liveProcs++
-	go func() {
-		<-p.resume
-		defer func() {
-			// A killed process never reaches this defer (its goroutine
-			// stays blocked forever); the guard protects the
-			// bookkeeping against any future path that could.
-			if !p.killed {
-				p.dead = true
-				e.liveProcs--
-				if p.daemon {
-					e.daemonProcs--
-				}
-				p.done.Broadcast()
-			}
-			e.parked <- struct{}{}
-		}()
+	p := &Process{eng: e, name: name, done: NewSignal(e)}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-	}()
-	e.Schedule(0, func() { e.resume(p) })
+		p.dead = true
+		e.liveProcs--
+		if p.daemon {
+			e.daemonProcs--
+		}
+		p.done.Broadcast()
+	})
+	p.wake = func() { e.resume(p) }
+	e.liveProcs++
+	e.Schedule(0, p.wake)
 	return p
 }
 
@@ -80,9 +84,10 @@ func (p *Process) Dead() bool { return p.dead }
 // function: the simulated core stopped mid-instruction. The process
 // counts as dead immediately — its Done signal fires and later resume
 // attempts (a Signal broadcast, a Resource grant) are ignored. The
-// backing goroutine stays blocked on its hand-off channel and is
-// leaked deliberately: a crashed PE's program counter never advances
-// again, and the leak is bounded by the number of injected crashes.
+// coroutine is never resumed again and stays suspended at its last
+// yield, leaked deliberately: a crashed PE's program counter never
+// advances again, and the leak is bounded by the number of injected
+// crashes.
 //
 // Kill must not target the currently running process — a program
 // cannot crash itself between two of its own instructions here;
@@ -127,17 +132,14 @@ func (p *Process) SetDaemon() {
 	}
 }
 
-// park yields control to the engine; the process stays blocked until an
-// event resumes it.
-func (p *Process) park() {
-	p.eng.parked <- struct{}{}
-	<-p.resume
-}
+// park yields control to the engine; the process stays suspended
+// until an event resumes it.
+func (p *Process) park() { p.yield(struct{}{}) }
 
 // Sleep advances the process's simulated time by d cycles. Other events
 // run in the meantime.
 func (p *Process) Sleep(d Time) {
-	p.eng.Schedule(d, func() { p.eng.resume(p) })
+	p.eng.Schedule(d, p.wake)
 	p.park()
 }
 

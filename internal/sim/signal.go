@@ -31,11 +31,11 @@ func (s *Signal) Wait(p *Process) {
 func (s *Signal) Notify() {
 	for len(s.waiters) > 0 {
 		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		s.waiters = append(s.waiters[:0], s.waiters[1:]...)
 		if w.dead {
 			continue
 		}
-		s.eng.Schedule(0, func() { s.eng.resume(w) })
+		s.eng.Schedule(0, w.wake)
 		return
 	}
 }
@@ -43,10 +43,9 @@ func (s *Signal) Notify() {
 // Broadcast wakes all current waiters in FIFO order.
 func (s *Signal) Broadcast() {
 	ws := s.waiters
-	s.waiters = nil
+	s.waiters = ws[:0] // Schedule only queues, so no Wait reuses ws yet
 	for _, w := range ws {
-		w := w
-		s.eng.Schedule(0, func() { s.eng.resume(w) })
+		s.eng.Schedule(0, w.wake)
 	}
 }
 
