@@ -33,21 +33,21 @@ bench:
 # The bench regression gate: rerun the fast experiment subset with run
 # captures bundled, keep the JSON artifact for inspection, and fail if
 # any gated metric regressed past its tolerance against the committed
-# baseline (BENCH_4.json, refresh with `make bench-baseline` when a
+# baseline (BENCH_5.json, refresh with `make bench-baseline` when a
 # change legitimately moves the numbers — see docs/EXPERIMENTS.md).
 # When the gate is red, the diff attributes every regression via the
 # two files' captures (layer/path cycle deltas, histogram shift, blame
 # drift — docs/OBSERVABILITY.md) and the machine-readable attribution
 # is retained as artifacts/diff-report.json. BENCH_0.json through
-# BENCH_3.json are previous generations' baselines, kept for
+# BENCH_4.json are previous generations' baselines, kept for
 # historical comparison.
 bench-smoke:
 	mkdir -p artifacts
 	go run ./cmd/m3bench -e smoke -capture -json artifacts/bench-smoke.json >artifacts/bench-smoke.log
-	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_4.json artifacts/bench-smoke.json
+	go run ./cmd/m3bench -diff -report artifacts/diff-report.json BENCH_5.json artifacts/bench-smoke.json
 
 bench-baseline:
-	go run ./cmd/m3bench -e smoke -capture -json BENCH_4.json
+	go run ./cmd/m3bench -e smoke -capture -json BENCH_5.json
 
 # The attribution self-test: capture the tier-1 workload, re-capture
 # with the kernel's syscall dispatch cost perturbed +10%, and require
@@ -83,14 +83,18 @@ slo-baseline:
 chaos:
 	go test -race -run 'TestFaultDeterminism|TestChaosMatrix|TestObsChaosStreamDeterministic|TestFlightDump|TestOverload' ./internal/bench
 
-# Short fuzz smoke over the crash-facing decoders — the fault-plan
-# parser and the m3fs metadata journal — plus the event-queue
-# cross-check (calendar queue vs a test-only reference heap, pop
-# order). The full fuzzers
+# Short fuzz smoke over the decoders of on-disk input — the fault-plan
+# parser, the m3fs metadata journal, the bench-file reader and the
+# run-capture reader — plus the event-queue cross-check (calendar
+# queue vs a test-only reference heap, pop order). The full fuzzers
 # run for as long as you let them: go test -fuzz FuzzFaultPlan
 # ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
+# go test -fuzz FuzzReadBenchJSON ./internal/bench,
+# go test -fuzz FuzzReadCaptureJSON ./internal/obs,
 # go test -fuzz FuzzEventQueue ./internal/sim.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
+	go test -run '^$$' -fuzz FuzzReadBenchJSON -fuzztime 10s ./internal/bench
+	go test -run '^$$' -fuzz FuzzReadCaptureJSON -fuzztime 10s ./internal/obs
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim

@@ -23,10 +23,11 @@
 #              recovery, and the chaos-overload tier — graceful
 #              degradation under open-loop overload (docs/FAULTS.md,
 #              docs/RECOVERY.md, docs/OVERLOAD.md)
-#   fuzz       a short smoke over the fault-plan and journal decoders
+#   fuzz       a short smoke over the fault-plan, journal, bench-file and
+#              run-capture decoders
 #   bench      the bench regression gate: the smoke experiment subset
 #              (with run captures bundled) diffed against the committed
-#              BENCH_4.json baseline; the JSON artifact and the
+#              BENCH_5.json baseline; the JSON artifact and the
 #              machine-readable regression attribution are kept under
 #              artifacts/ — bench-smoke.json and diff-report.json —
 #              for inspection (docs/EXPERIMENTS.md)

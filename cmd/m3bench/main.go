@@ -193,7 +193,10 @@ func runDiff(oldPath, newPath, reportPath string) error {
 	if err != nil {
 		return err
 	}
-	d := bench.DiffBench(oldFile, newFile)
+	d, err := bench.DiffBench(oldFile, newFile)
+	if err != nil {
+		return err
+	}
 	if err := d.Write(os.Stdout); err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func main() {
 	pes := flag.Int("pes", 0, "extra application PEs beyond what the workload needs")
 	instances := flag.Int("n", 1, "parallel instances (one kernel, one m3fs)")
 	verbose := flag.Bool("v", false, "per-PE DTU statistics")
-	traceN := flag.Int("trace", 0, "print the first N trace events (DTU sends/receives, syscalls)")
+	traceN := flag.Int("trace", 0, "print the first N structured events (DTU, NoC, kernel), one per line")
 	traceOut := flag.String("trace-out", "", "write the run's structured event stream as Chrome-trace/Perfetto JSON to this file")
 	stats := flag.Bool("stats", false, "collect the metrics registry and print the per-PE/per-link utilization table after the run")
 	sample := flag.Int("sample", 4096, "metrics sampling interval in cycles for -stats (0 = no time series)")
@@ -49,22 +49,21 @@ func main() {
 	}
 
 	eng := sim.NewEngine()
-	if *traceN > 0 {
-		remaining := *traceN
-		eng.SetTracer(func(at sim.Time, source, event string) {
-			if remaining <= 0 {
-				return
-			}
-			remaining--
-			fmt.Printf("[%10d] %-8s %s\n", at, source, event)
-		})
-	}
 	var events []obs.Event
 	cfg := tile.Homogeneous(2 + b.PEs + *pes)
-	if *traceOut != "" || *stats {
+	if *traceN > 0 || *traceOut != "" || *stats {
 		var sink func(obs.Event)
-		if *traceOut != "" {
-			sink = func(ev obs.Event) { events = append(events, ev) }
+		if *traceN > 0 || *traceOut != "" {
+			remaining := *traceN
+			sink = func(ev obs.Event) {
+				if remaining > 0 {
+					remaining--
+					fmt.Println(ev)
+				}
+				if *traceOut != "" {
+					events = append(events, ev)
+				}
+			}
 		}
 		cfg.Obs = obs.New(obs.Options{Sink: sink})
 	}

@@ -26,12 +26,9 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"repro/internal/core"
-	"repro/internal/m3"
-	"repro/internal/m3fs"
+	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tile"
 	"repro/internal/workload"
 )
 
@@ -115,38 +112,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng := sim.NewEngine()
-	cfg := tile.Homogeneous(2 + b.PEs + *pes)
 	slos := obs.NewSLOSet()
 	slos.Objective(sloTail, obs.SLOConfig{
 		Objective: 0.99, LatencyBound: sim.Time(*bound), Window: 1 << 20})
 	slos.Objective(sloAvail, obs.SLOConfig{Objective: 0.999, Window: 1 << 20})
 	cp := obs.NewCritPath(obs.CritPathOptions{Exemplars: *exemplars, SLO: slos})
-	cfg.Obs = obs.New(obs.Options{Sink: cp.Consume})
-
-	plat := tile.NewPlatform(eng, cfg)
-	kern := core.Boot(plat, 0)
-	if _, err := kern.StartInit("m3fs", tile.CoreXtensa, m3fs.Program(kern, m3fs.Config{}, nil)); err != nil {
-		log.Fatal(err)
-	}
-	_, err = kern.StartInit("app", tile.CoreXtensa, func(ctx *tile.Ctx) {
-		env := m3.NewEnv(ctx, kern)
-		mos, err := workload.NewM3OS(env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := b.Setup(mos); err != nil {
-			log.Fatal(err)
-		}
-		if err := b.Run(mos); err != nil {
-			log.Fatal(err)
-		}
-		env.Exit(0)
-	})
+	_, st, err := bench.RunM3Stats(b, bench.M3Options{ExtraPEs: *pes, Obs: obs.New(obs.Options{Sink: cp.Consume})})
 	if err != nil {
 		log.Fatal(err)
 	}
-	end := eng.Run()
+	end := st.FinalTime
 
 	qs := []float64{0.5, 0.99, 0.999}
 	rep := cp.ReportAt(qs)

@@ -199,7 +199,7 @@ func TestAttributeReport(t *testing.T) {
 	reg.Experiments[0].Metrics[0].Value = 1100 // fig5: +10% past the 5% gate
 	reg.Captures = []*obs.RunCapture{perturbed}
 
-	d := DiffBench(old, reg)
+	d := mustDiff(t, old, reg)
 	if !d.Failed() {
 		t.Fatal("seeded regression passed the gate")
 	}
@@ -242,7 +242,7 @@ func TestAttributeReport(t *testing.T) {
 	// as missing.
 	bare := sampleFile()
 	bare.Experiments[0].Metrics[0].Value = 1100
-	d2 := DiffBench(old, bare)
+	d2 := mustDiff(t, old, bare)
 	rep2, err := Attribute(d2, old, bare)
 	if err != nil {
 		t.Fatal(err)

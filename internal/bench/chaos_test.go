@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dtu"
 	"repro/internal/fault"
 	"repro/internal/m3fs"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -55,19 +55,18 @@ func midRunCrashAtOpt(t *testing.T, b workload.Benchmark, n int, plan fault.Plan
 	return out.StartAt + out.RunTime*2/5
 }
 
-// tracedChaosRun runs one chaos configuration with a tracer installed
-// and returns the run plus an FNV hash over the complete event stream.
+// tracedChaosRun runs one chaos configuration with the structured
+// tracer installed and returns the run plus the hash of the complete
+// obs event stream.
 func tracedChaosRun(t *testing.T, b workload.Benchmark, n int, plan fault.Plan, opt M3Options) (*ChaosRun, uint64) {
 	t.Helper()
-	h := fnv.New64a()
-	opt.Tracer = func(at sim.Time, source, event string) {
-		fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-	}
+	sh := newStreamHash()
+	opt.Obs = obs.New(obs.Options{Sink: sh.Consume})
 	cr, err := RunM3Chaos(b, n, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr, h.Sum64()
+	return cr, sh.Sum64()
 }
 
 // outcomeSummary flattens the per-instance outcomes into a comparable

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"repro/internal/linuxos"
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -35,29 +33,27 @@ func TestM3RunDeterministic(t *testing.T) {
 	}
 }
 
-// tracedRun executes one full workload with a tracer installed and
-// returns the engine statistics plus an FNV hash of the complete event
-// stream (time, source, payload of every trace line).
+// tracedRun executes one full workload with the structured tracer and
+// the metrics sampler armed and returns the engine statistics plus the
+// hash of the complete obs event stream.
 func tracedRun(t *testing.T, b workload.Benchmark) (RunStats, uint64) {
 	t.Helper()
-	h := fnv.New64a()
-	opt := M3Options{Tracer: func(at sim.Time, source, event string) {
-		fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-	}}
+	sh := newStreamHash()
+	opt := M3Options{Obs: obs.New(obs.Options{Sink: sh.Consume}), SampleEvery: witnessSampleEvery}
 	_, st, err := RunM3Stats(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, h.Sum64()
+	return st, sh.Sum64()
 }
 
 // TestTraceDeterministic is the runtime witness for the invariants
 // m3vet enforces statically: two runs of the same mid-size workload
 // must execute the identical event schedule — same event count, same
-// final time, and the same hash over every trace line. A single
+// final time, and the same hash over every obs event. A single
 // unsorted map walk on a kernel path (e.g. reverting the sorted
-// iteration in core/caps.go revokeAll) perturbs the schedule and makes
-// this fail.
+// iteration in core/caps.go revokeAll, which reorders the EvCapRevoke
+// events) perturbs the stream and makes this fail.
 func TestTraceDeterministic(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 
 	"repro/internal/fault"
@@ -24,10 +25,8 @@ type DifferentialWitness struct {
 	// Stats is the engine-level run witness: executed events and final
 	// simulated time.
 	Stats RunStats
-	// LegacyHash digests the legacy trace stream ("%d %s %s\n" lines),
-	// ObsHash the structured event stream (fixed binary encoding),
-	// MetricsHash the end-of-run metrics snapshot.
-	LegacyHash  uint64
+	// ObsHash digests the structured event stream (fixed binary
+	// encoding), MetricsHash the end-of-run metrics snapshot.
 	ObsHash     uint64
 	MetricsHash uint64
 	// ObsEvents counts structured events (a hash collision shield and a
@@ -40,10 +39,30 @@ type DifferentialWitness struct {
 
 // String renders the witness compactly for test failure output.
 func (w DifferentialWitness) String() string {
-	return fmt.Sprintf("events=%d final=%d legacy=%016x obs=%016x(%d) metrics=%016x outcomes=%q",
+	return fmt.Sprintf("events=%d final=%d obs=%016x(%d) metrics=%016x outcomes=%q",
 		w.Stats.ExecutedEvents, w.Stats.FinalTime,
-		w.LegacyHash, w.ObsHash, w.ObsEvents, w.MetricsHash, w.Outcomes)
+		w.ObsHash, w.ObsEvents, w.MetricsHash, w.Outcomes)
 }
+
+// streamHash is an obs sink that digests the fixed binary encoding of
+// every event it consumes: the determinism witness of a run's event
+// stream.
+type streamHash struct {
+	h   hash.Hash64
+	n   int
+	buf [obs.EncodedSize]byte
+}
+
+func newStreamHash() *streamHash { return &streamHash{h: fnv.New64a()} }
+
+// Consume is the obs.Options Sink.
+func (s *streamHash) Consume(ev obs.Event) {
+	s.h.Write(ev.AppendBinary(s.buf[:0]))
+	s.n++
+}
+
+// Sum64 returns the digest of the events consumed so far.
+func (s *streamHash) Sum64() uint64 { return s.h.Sum64() }
 
 // differentialSampleEvery keeps the metrics sampler armed during
 // differential runs so sampler events participate in the witness too.
@@ -62,31 +81,22 @@ func RunDifferential(b workload.Benchmark, n int, plan fault.Plan) (Differential
 // armed on the system. Its point is the zero-overhead-when-off proof:
 // an armed-but-idle policy (zero deadline, zero watermarks) must
 // produce a witness bit-identical to a nil policy — not one extra
-// event, trace line, or metric (TestOverloadIdleBitIdentical).
+// event or metric (TestOverloadIdleBitIdentical).
 func RunDifferentialOverload(b workload.Benchmark, n int, plan fault.Plan, ov *OverloadSpec) (DifferentialWitness, error) {
 	var w DifferentialWitness
-	obsHash := fnv.New64a()
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		obsHash.Write(ev.AppendBinary(buf[:0]))
-		w.ObsEvents++
-	}})
-	legacyHash := fnv.New64a()
+	sh := newStreamHash()
+	tr := obs.New(obs.Options{Sink: sh.Consume})
 	opt := M3Options{
 		Obs:         tr,
 		SampleEvery: differentialSampleEvery,
 		Overload:    ov,
-		Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)
-		},
 	}
 	cr, err := RunM3Chaos(b, n, plan, opt)
 	if err != nil {
 		return w, err
 	}
 	w.Stats = cr.Stats
-	w.LegacyHash = legacyHash.Sum64()
-	w.ObsHash = obsHash.Sum64()
+	w.ObsHash, w.ObsEvents = sh.Sum64(), sh.n
 	mh := fnv.New64a()
 	mh.Write([]byte(tr.Metrics().Snapshot()))
 	w.MetricsHash = mh.Sum64()

@@ -142,9 +142,10 @@ func TestCritPathChaosDeterministic(t *testing.T) {
 
 // TestCritPathSLOZeroOverhead: wiring the attribution engine and SLO
 // set as the tracer sink must not change the simulation at all — the
-// engine-level run statistics and the legacy trace stream stay
-// bit-identical to a run with no tracer installed. The SLO layer
-// schedules no events; it only observes completions.
+// engine-level run statistics stay bit-identical to a run with no
+// tracer installed, and the obs stream to one with a plain hashing
+// sink. The SLO layer schedules no events; it only observes
+// completions.
 func TestCritPathSLOZeroOverhead(t *testing.T) {
 	for _, name := range []string{"tar", "find"} {
 		b, err := workload.ByName(name)
@@ -168,12 +169,11 @@ func TestCritPathSLOZeroOverhead(t *testing.T) {
 		if cp.Completed() == 0 {
 			t.Fatalf("%s: attribution engine saw no requests", name)
 		}
-		slosB := benchSLOSet()
-		cpB := obs.NewCritPath(obs.CritPathOptions{SLO: slosB})
-		lh1 := legacyHash(t, b, nil)
-		lh2 := legacyHash(t, b, obs.New(obs.Options{Sink: cpB.Consume}))
-		if lh1 != lh2 {
-			t.Fatalf("%s: critpath+SLO sink perturbed the legacy trace: %#x vs %#x", name, lh2, lh1)
+		cpB := obs.NewCritPath(obs.CritPathOptions{SLO: benchSLOSet()})
+		h1 := obsHash(t, b, M3Options{}, nil)
+		h2 := obsHash(t, b, M3Options{}, cpB.Consume)
+		if h1 != h2 {
+			t.Fatalf("%s: critpath+SLO sink perturbed the obs stream: %#x vs %#x", name, h2, h1)
 		}
 	}
 }

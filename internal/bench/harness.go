@@ -57,9 +57,6 @@ type M3Options struct {
 	// (Figure 4).
 	AppendBlocks int
 	NoMerge      bool
-	// Tracer, if set, receives every trace event of the run; the
-	// determinism regression test hashes this stream.
-	Tracer func(at sim.Time, source, event string)
 	// Obs, if set, is the structured tracer wired through the NoC and
 	// every DTU (spans, histograms, flight recorder). Nil keeps
 	// structured observability fully off.
@@ -135,9 +132,6 @@ func bootM3NoFS(opt M3Options, appPEs int) *m3System {
 	}
 	if opt.DRAMSize > 0 {
 		cfg.DRAM.Size = opt.DRAMSize
-	}
-	if opt.Tracer != nil {
-		eng.SetTracer(opt.Tracer)
 	}
 	plat := tile.NewPlatform(eng, cfg)
 	kern := core.Boot(plat, 0)

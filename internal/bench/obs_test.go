@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"testing"
@@ -23,18 +21,12 @@ import (
 // binary encoding of every emitted event.
 func obsStreamHash(t *testing.T, b workload.Benchmark) (RunStats, uint64, int) {
 	t.Helper()
-	h := fnv.New64a()
-	n := 0
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		h.Write(ev.AppendBinary(buf[:0]))
-		n++
-	}})
-	_, st, err := RunM3Stats(b, M3Options{Obs: tr})
+	sh := newStreamHash()
+	_, st, err := RunM3Stats(b, M3Options{Obs: obs.New(obs.Options{Sink: sh.Consume})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, h.Sum64(), n
+	return st, sh.Sum64(), sh.n
 }
 
 // TestObsStreamDeterministic: three runs of the same (configuration,
@@ -65,19 +57,14 @@ func TestObsStreamDeterministic(t *testing.T) {
 // service crash.
 func obsChaosStreamHash(t *testing.T, b workload.Benchmark, plan fault.Plan) (RunStats, uint64, int) {
 	t.Helper()
-	h := fnv.New64a()
-	n := 0
-	var buf [obs.EncodedSize]byte
+	sh := newStreamHash()
 	opt := recoverOpts()
-	opt.Obs = obs.New(obs.Options{Sink: func(ev obs.Event) {
-		h.Write(ev.AppendBinary(buf[:0]))
-		n++
-	}})
+	opt.Obs = obs.New(obs.Options{Sink: sh.Consume})
 	cr, err := RunM3Chaos(b, 2, plan, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr.Stats, h.Sum64(), n
+	return cr.Stats, sh.Sum64(), sh.n
 }
 
 // TestObsChaosStreamDeterministic: the stream stays byte-identical
@@ -105,16 +92,16 @@ func TestObsChaosStreamDeterministic(t *testing.T) {
 }
 
 // TestObsZeroOverhead: installing the structured tracer — enabled or
-// disabled — must not change the simulation: same executed-event count
-// and final time as a run with no tracer at all. The tracer observes
-// the schedule; it never becomes part of it.
+// disabled — must not change the simulation: same executed-event
+// count, final time and Breakdown as a run with no tracer at all. The
+// tracer observes the schedule; it never becomes part of it.
 func TestObsZeroOverhead(t *testing.T) {
 	for _, name := range []string{"tar", "find"} {
 		b, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, base, err := RunM3Stats(b, M3Options{})
+		baseBd, base, err := RunM3Stats(b, M3Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,45 +109,43 @@ func TestObsZeroOverhead(t *testing.T) {
 			t.Fatalf("%s: baseline executed no events", name)
 		}
 		on := obs.New(obs.Options{Sink: func(obs.Event) {}, FlightRecorder: obs.DefaultFlightRecorder})
-		_, withOn, err := RunM3Stats(b, M3Options{Obs: on})
+		onBd, withOn, err := RunM3Stats(b, M3Options{Obs: on})
 		if err != nil {
 			t.Fatal(err)
 		}
 		off := obs.New(obs.Options{Sink: func(obs.Event) {}})
 		off.SetEnabled(false)
-		_, withOff, err := RunM3Stats(b, M3Options{Obs: off})
+		offBd, withOff, err := RunM3Stats(b, M3Options{Obs: off})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if withOn != base {
-			t.Fatalf("%s: enabled tracer changed the run: %+v vs baseline %+v", name, withOn, base)
+		if withOn != base || onBd != baseBd {
+			t.Fatalf("%s: enabled tracer changed the run: %+v %v vs baseline %+v %v", name, withOn, onBd, base, baseBd)
 		}
-		if withOff != base {
-			t.Fatalf("%s: disabled tracer changed the run: %+v vs baseline %+v", name, withOff, base)
-		}
-		// The legacy string-trace stream must be bit-identical too: the
-		// structured layer observes the same schedule, it does not
-		// perturb it.
-		lh1, lh2 := legacyHash(t, b, nil), legacyHash(t, b,
-			obs.New(obs.Options{Sink: func(obs.Event) {}, FlightRecorder: obs.DefaultFlightRecorder}))
-		if lh1 != lh2 {
-			t.Fatalf("%s: structured tracer perturbed the legacy trace: %#x vs %#x", name, lh2, lh1)
+		if withOff != base || offBd != baseBd {
+			t.Fatalf("%s: disabled tracer changed the run: %+v %v vs baseline %+v %v", name, withOff, offBd, base, baseBd)
 		}
 	}
 }
 
-// legacyHash hashes the legacy string-trace stream of one run, with or
-// without the structured tracer installed alongside.
-func legacyHash(t *testing.T, b workload.Benchmark, tr *obs.Tracer) uint64 {
+// obsHash hashes the obs event stream of one run of b under opt. extra,
+// if set, consumes every event too: it is the sink under test, which
+// must observe the stream without perturbing it.
+func obsHash(t *testing.T, b workload.Benchmark, opt M3Options, extra func(obs.Event)) uint64 {
 	t.Helper()
-	h := fnv.New64a()
-	opt := M3Options{Obs: tr, Tracer: func(at sim.Time, source, event string) {
-		fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-	}}
+	sh := newStreamHash()
+	sink := sh.Consume
+	if extra != nil {
+		sink = func(ev obs.Event) {
+			sh.Consume(ev)
+			extra(ev)
+		}
+	}
+	opt.Obs = obs.New(obs.Options{Sink: sink})
 	if _, _, err := RunM3Stats(b, opt); err != nil {
 		t.Fatal(err)
 	}
-	return h.Sum64()
+	return sh.Sum64()
 }
 
 // TestSyscallNestedSpanChain: at least one syscall must reconstruct as

@@ -77,15 +77,8 @@ type BenchFile struct {
 // error: -diff indexes metrics by key and could compare only one of
 // them.
 func (f *BenchFile) WriteJSON(w io.Writer) error {
-	seen := make(map[string]bool)
-	for _, e := range f.Experiments {
-		for _, m := range e.Metrics {
-			k := e.Name + ":" + m.Name
-			if seen[k] {
-				return fmt.Errorf("bench: duplicate metric key %s", k)
-			}
-			seen[k] = true
-		}
+	if _, _, err := indexMetrics(f); err != nil {
+		return err
 	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
@@ -173,9 +166,9 @@ const witnessWorkload = "tar"
 const witnessSampleEvery sim.Time = 4096
 
 // RunWitness executes the determinism witness: one fixed workload with
-// the structured tracer, the legacy tracer, and the metrics sampler all
-// armed. It records the engine statistics and content hashes of every
-// observability stream as "info" metrics — byte-identical across runs
+// the structured tracer and the metrics sampler armed. It records the
+// engine statistics and content hashes of the obs event stream and the
+// metrics snapshot as "info" metrics — byte-identical across runs
 // of the same tree by the determinism contract, but never gated on by
 // -diff (they legitimately change when instrumentation is added).
 func RunWitness() (BenchExperiment, error) {
@@ -184,21 +177,9 @@ func RunWitness() (BenchExperiment, error) {
 	if err != nil {
 		return exp, err
 	}
-	obsHash := fnv.New64a()
-	events := 0
-	var buf [obs.EncodedSize]byte
-	tr := obs.New(obs.Options{Sink: func(ev obs.Event) {
-		obsHash.Write(ev.AppendBinary(buf[:0]))
-		events++
-	}})
-	legacyHash := fnv.New64a()
-	opt := M3Options{
-		Obs:         tr,
-		SampleEvery: witnessSampleEvery,
-		Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(legacyHash, "%d %s %s\n", at, source, event)
-		},
-	}
+	sh := newStreamHash()
+	tr := obs.New(obs.Options{Sink: sh.Consume})
+	opt := M3Options{Obs: tr, SampleEvery: witnessSampleEvery}
 	_, st, err := RunM3Stats(b, opt)
 	if err != nil {
 		return exp, err
@@ -208,9 +189,8 @@ func RunWitness() (BenchExperiment, error) {
 	exp.Metrics = []BenchMetric{
 		{Name: "witness/executed_events", Value: float64(st.ExecutedEvents), Unit: "info"},
 		{Name: "witness/final_time", Value: float64(st.FinalTime), Unit: "info"},
-		{Name: "witness/obs_events", Value: float64(events), Unit: "info"},
-		{Name: "witness/obs_stream_hash", Unit: "info", Info: fmt.Sprintf("%016x", obsHash.Sum64())},
-		{Name: "witness/legacy_trace_hash", Unit: "info", Info: fmt.Sprintf("%016x", legacyHash.Sum64())},
+		{Name: "witness/obs_events", Value: float64(sh.n), Unit: "info"},
+		{Name: "witness/obs_stream_hash", Unit: "info", Info: fmt.Sprintf("%016x", sh.Sum64())},
 		{Name: "witness/metrics_snapshot_hash", Unit: "info", Info: fmt.Sprintf("%016x", snapHash.Sum64())},
 	}
 	return exp, nil
@@ -299,19 +279,23 @@ type metricRef struct {
 	m   BenchMetric
 }
 
-func indexMetrics(f *BenchFile) (map[string]metricRef, []string) {
+// indexMetrics maps every "exp:metric" key of f to its metric, keys in
+// file order. A key that occurs twice is an error: only one of the two
+// metrics could be compared.
+func indexMetrics(f *BenchFile) (map[string]metricRef, []string, error) {
 	idx := make(map[string]metricRef)
 	var keys []string
 	for _, e := range f.Experiments {
 		for _, m := range e.Metrics {
 			k := e.Name + ":" + m.Name
-			if _, dup := idx[k]; !dup {
-				keys = append(keys, k)
+			if _, dup := idx[k]; dup {
+				return nil, nil, fmt.Errorf("bench: duplicate metric key %s", k)
 			}
+			keys = append(keys, k)
 			idx[k] = metricRef{exp: e.Name, m: m}
 		}
 	}
-	return idx, keys
+	return idx, keys, nil
 }
 
 // DiffBench compares a new bench run against an old baseline. Every
@@ -320,11 +304,18 @@ func indexMetrics(f *BenchFile) (map[string]metricRef, []string) {
 // DefaultTolerance). Info metrics and improvements only produce notes;
 // metrics missing from the new file fail (a silently vanished
 // experiment must not pass CI); metrics only in the new file are
-// notes (the next committed baseline adopts them).
-func DiffBench(old, new *BenchFile) *BenchDiff {
+// notes (the next committed baseline adopts them). A file carrying one
+// "exp:metric" key twice is an error, not a diff.
+func DiffBench(old, new *BenchFile) (*BenchDiff, error) {
 	d := &BenchDiff{}
-	oldIdx, oldKeys := indexMetrics(old)
-	newIdx, newKeys := indexMetrics(new)
+	oldIdx, oldKeys, err := indexMetrics(old)
+	if err != nil {
+		return nil, fmt.Errorf("old file: %w", err)
+	}
+	newIdx, newKeys, err := indexMetrics(new)
+	if err != nil {
+		return nil, fmt.Errorf("new file: %w", err)
+	}
 	for _, k := range oldKeys {
 		o := oldIdx[k]
 		n, ok := newIdx[k]
@@ -367,5 +358,5 @@ func DiffBench(old, new *BenchFile) *BenchDiff {
 	for _, k := range added {
 		d.Notes = append(d.Notes, fmt.Sprintf("%s: new metric, absent from baseline", k))
 	}
-	return d
+	return d, nil
 }

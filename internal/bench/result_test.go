@@ -2,13 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -75,57 +72,36 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // TestSamplerOffBitIdentical: with the sampler off (the default), a
 // run with the full metrics instrumentation registered must execute
 // the exact event schedule of a run with no tracer at all — same
-// RunStats, same legacy trace stream.
+// RunStats, same Breakdown.
 func TestSamplerOffBitIdentical(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(tr *obs.Tracer) (RunStats, uint64) {
-		h := fnv.New64a()
-		opt := M3Options{Obs: tr, Tracer: func(at sim.Time, source, event string) {
-			fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-		}}
-		_, st, err := RunM3Stats(b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, h.Sum64()
+	baseBd, baseSt, err := RunM3Stats(b, M3Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	baseSt, baseHash := run(nil)
-	obsSt, obsHash := run(obs.New(obs.Options{}))
-	if obsSt != baseSt {
-		t.Fatalf("metrics instrumentation changed the run: %+v vs baseline %+v", obsSt, baseSt)
+	obsBd, obsSt, err := RunM3Stats(b, M3Options{Obs: obs.New(obs.Options{})})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if obsHash != baseHash {
-		t.Fatalf("metrics instrumentation perturbed the legacy trace: %#x vs %#x", obsHash, baseHash)
+	if obsSt != baseSt || obsBd != baseBd {
+		t.Fatalf("metrics instrumentation changed the run: %+v %v vs baseline %+v %v", obsSt, obsBd, baseSt, baseBd)
 	}
 }
 
 // TestSamplerOnLeavesTraceIntact: the sampler adds its own tick events
 // (RunStats may differ) but must never reorder or change the
-// simulation's own schedule — the legacy trace stream stays identical.
+// simulation's own schedule — the obs event stream stays identical.
 func TestSamplerOnLeavesTraceIntact(t *testing.T) {
 	b, err := workload.ByName("tar")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := func(every sim.Time) uint64 {
-		h := fnv.New64a()
-		opt := M3Options{
-			Obs:         obs.New(obs.Options{}),
-			SampleEvery: every,
-			Tracer: func(at sim.Time, source, event string) {
-				fmt.Fprintf(h, "%d %s %s\n", at, source, event)
-			},
-		}
-		if _, _, err := RunM3Stats(b, opt); err != nil {
-			t.Fatal(err)
-		}
-		return h.Sum64()
-	}
-	if off, on := trace(0), trace(4096); off != on {
-		t.Fatalf("sampler perturbed the legacy trace: %#x vs %#x", on, off)
+	off := obsHash(t, b, M3Options{}, nil)
+	if on := obsHash(t, b, M3Options{SampleEvery: 4096}, nil); off != on {
+		t.Fatalf("sampler perturbed the obs stream: %#x vs %#x", on, off)
 	}
 }
 
@@ -144,16 +120,45 @@ func sampleFile() *BenchFile {
 	}}}
 }
 
+// mustDiff is DiffBench for files known to be well-formed.
+func mustDiff(t *testing.T, old, new *BenchFile) *BenchDiff {
+	t.Helper()
+	d, err := DiffBench(old, new)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDiffBenchRejectsDuplicateKey: a file that carries one exp:metric
+// key twice cannot be diffed — only one of the two metrics could be
+// compared — so -diff fails instead of letting the last one win.
+func TestDiffBenchRejectsDuplicateKey(t *testing.T) {
+	dup := sampleFile()
+	w := &dup.Experiments[1]
+	w.Metrics = append(w.Metrics, BenchMetric{Name: "witness/obs_stream_hash", Unit: "info", Info: "bbbb"})
+	for _, c := range []struct {
+		name     string
+		old, new *BenchFile
+	}{{"old", dup, sampleFile()}, {"new", sampleFile(), dup}} {
+		d, err := DiffBench(c.old, c.new)
+		if err == nil || !strings.Contains(err.Error(), c.name+" file") ||
+			!strings.Contains(err.Error(), "witness:witness/obs_stream_hash") {
+			t.Fatalf("duplicate key in the %s file not rejected: diff=%v err=%v", c.name, d, err)
+		}
+	}
+}
+
 // TestDiffSelfTest is the -diff acceptance check: an unmodified
 // baseline passes, an injected >=10% cycle regression fails.
 func TestDiffSelfTest(t *testing.T) {
 	old := sampleFile()
-	if d := DiffBench(old, sampleFile()); d.Failed() {
+	if d := mustDiff(t, old, sampleFile()); d.Failed() {
 		t.Fatalf("identical files diffed as regression: %v", d.Regressions)
 	}
 	reg := sampleFile()
 	reg.Experiments[0].Metrics[0].Value = 1100 // +10% > 5% tolerance
-	d := DiffBench(old, reg)
+	d := mustDiff(t, old, reg)
 	if !d.Failed() {
 		t.Fatal("10% cycle regression passed the 5% gate")
 	}
@@ -179,13 +184,13 @@ func TestDiffTolerancesAndDirections(t *testing.T) {
 
 	within := sampleFile()
 	within.Experiments[0].Metrics[0].Value = 1150 // +15% < 20% override
-	if d := DiffBench(old, within); d.Failed() {
+	if d := mustDiff(t, old, within); d.Failed() {
 		t.Fatalf("regression within per-metric tolerance failed: %v", d.Regressions)
 	}
 
 	improved := sampleFile()
 	improved.Experiments[0].Metrics[0].Value = 500
-	d := DiffBench(old, improved)
+	d := mustDiff(t, old, improved)
 	if d.Failed() {
 		t.Fatalf("improvement failed the gate: %v", d.Regressions)
 	}
@@ -195,20 +200,20 @@ func TestDiffTolerancesAndDirections(t *testing.T) {
 
 	infoChanged := sampleFile()
 	infoChanged.Experiments[1].Metrics[0].Info = "bbbb"
-	if d := DiffBench(sampleFile(), infoChanged); d.Failed() {
+	if d := mustDiff(t, sampleFile(), infoChanged); d.Failed() {
 		t.Fatalf("info metric change failed the gate: %v", d.Regressions)
 	}
 
 	missing := sampleFile()
 	missing.Experiments[0].Metrics = missing.Experiments[0].Metrics[:1]
-	if d := DiffBench(sampleFile(), missing); !d.Failed() {
+	if d := mustDiff(t, sampleFile(), missing); !d.Failed() {
 		t.Fatal("vanished metric passed the gate")
 	}
 
 	extra := sampleFile()
 	extra.Experiments[0].Metrics = append(extra.Experiments[0].Metrics,
 		BenchMetric{Name: "fig5/tar+M3/new_cycles", Value: 1, Unit: "cycles"})
-	d = DiffBench(sampleFile(), extra)
+	d = mustDiff(t, sampleFile(), extra)
 	if d.Failed() {
 		t.Fatalf("new metric failed the gate: %v", d.Regressions)
 	}

@@ -15,8 +15,7 @@ import (
 var updateWitness = flag.Bool("update-witness", false, "rewrite testdata/witness.golden")
 
 // TestDifferentialWitnessGolden pins the full differential witness —
-// engine statistics, legacy trace, structured event stream, metrics
-// snapshot and per-instance outcomes — of every tier-1 workload, on a
+// engine statistics, structured event stream, metrics snapshot and per-instance outcomes — of every tier-1 workload, on a
 // lossless and on a lossy fault plan, to a committed golden file. Any
 // change to the engine or the model that moves a single observable
 // byte fails here; rerun with -update-witness only after confirming
@@ -36,7 +35,7 @@ func TestDifferentialWitnessGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b.Name, p.name, err)
 			}
-			if w.Stats.ExecutedEvents == 0 || w.ObsEvents == 0 || w.LegacyHash == 0 {
+			if w.Stats.ExecutedEvents == 0 || w.ObsEvents == 0 {
 				t.Fatalf("%s/%s: empty witness, harness broken: %v", b.Name, p.name, w)
 			}
 			fmt.Fprintf(&got, "%s %s %v\n", b.Name, p.name, w)

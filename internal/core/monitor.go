@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtu"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -39,10 +40,7 @@ func (k *Kernel) EnableDeathWatch(period sim.Time, maxMiss int, active func() bo
 				crashed, err := k.PE.DTU.Probe(p, vpe.PE.Node)
 				if err != nil {
 					misses[vpe.ID]++
-					if k.Plat.Eng.Tracing() {
-						k.Plat.Eng.Emit("kernel", fmt.Sprintf("probe vpe %d missed (%d/%d): %v",
-							vpe.ID, misses[vpe.ID], maxMiss, err))
-					}
+					k.emitKernel(obs.EvProbeMiss, vpe.ID, uint64(misses[vpe.ID]), uint64(maxMiss))
 					if misses[vpe.ID] >= maxMiss {
 						k.reapVPE(p, vpe)
 					}
@@ -69,9 +67,7 @@ func (k *Kernel) reapVPE(p *sim.Process, vpe *VPE) {
 		return
 	}
 	k.Stats.VPEsReaped++
-	if k.Plat.Eng.Tracing() {
-		k.Plat.Eng.Emit("kernel", fmt.Sprintf("reap vpe %d (%s): pe%d is dead", vpe.ID, vpe.Name, vpe.PE.ID))
-	}
+	k.emitKernel(obs.EvVPEReap, vpe.ID, uint64(vpe.PE.Node), 0)
 	vpe.exited = true
 	vpe.exitCode = CrashExitCode
 	type actRec struct {
@@ -117,9 +113,7 @@ func (k *Kernel) invalidateEP(p *sim.Process, node noc.NodeID, ep int) {
 	}
 	if errors.Is(err, dtu.ErrTimeout) {
 		k.Stats.FailedInvalidations++
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("invalidate ep %d at node %d failed: %v", ep, node, err))
-		}
+		k.emitKernel(obs.EvInvalidateFail, uint64(ep), uint64(node), 0)
 		return
 	}
 	panic(fmt.Sprintf("core: endpoint invalidation failed: %v", err))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dtu"
 	"repro/internal/kif"
 	"repro/internal/obs"
@@ -126,10 +124,6 @@ func (k *Kernel) admitServiceCall(svc *ServiceObj, span obs.SpanID, pr overload.
 				Kind: obs.EvShed, Span: span, Arg0: uint64(svc.Owner.PE.Node),
 				Arg1: uint64(depth), Arg2: uint64(pr)})
 		}
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("shed %s call to %s (depth %d, priority %s)",
-				pr, svc.Name, depth, pr))
-		}
 		return kif.ErrOverload
 	}
 	return kif.OK
@@ -158,9 +152,6 @@ func (k *Kernel) noteServiceCallOutcome(svc *ServiceObj, outcome kif.Error) {
 				k.breakerOpensCounter().Inc()
 				tr.Emit(obs.Event{At: now, PE: int32(k.PE.Node), Layer: obs.LKernel,
 					Kind: obs.EvBreaker, Arg0: uint64(svc.Owner.PE.Node), Arg1: br.Opens()})
-			}
-			if k.Plat.Eng.Tracing() {
-				k.Plat.Eng.Emit("kernel", fmt.Sprintf("breaker open for %s (trip %d)", svc.Name, br.Opens()))
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tile"
 )
@@ -116,9 +116,7 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 	}
 	delete(k.supervised, vpe.ID)
 	if sup.restarts >= sup.policy.MaxRestarts {
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: %s exhausted %d restarts", sup.name, sup.restarts))
-		}
+		k.emitKernel(obs.EvSupervisor, obs.SupExhausted, uint64(sup.restarts), 0)
 		return
 	}
 	sup.restarts++
@@ -130,17 +128,13 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 		// open window has passed (restart-storm suppression).
 		delay += hold
 		k.Stats.RestartsHeld++
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: holding %s respawn %d cycles for open breaker", sup.name, hold))
-		}
+		k.emitKernel(obs.EvSupervisor, obs.SupHold, uint64(sup.restarts), uint64(hold))
 	}
 	k.Plat.Eng.Spawn("kernel-respawn", func(p *sim.Process) {
 		p.Sleep(delay)
 		pe := k.allocPE(sup.peType)
 		if pe == nil {
-			if k.Plat.Eng.Tracing() {
-				k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: no spare PE for %s", sup.name))
-			}
+			k.emitKernel(obs.EvSupervisor, obs.SupNoPE, uint64(sup.restarts), 0)
 			return
 		}
 		k.compute(p, CostRespawn)
@@ -153,10 +147,7 @@ func (k *Kernel) maybeRespawn(vpe *VPE) {
 		if tr := k.Plat.Obs; tr.On() {
 			k.mSupervisorRestarts.Inc()
 		}
-		if k.Plat.Eng.Tracing() {
-			k.Plat.Eng.Emit("kernel", fmt.Sprintf("supervisor: restarted %s as vpe %d on pe%d (restart %d/%d)",
-				sup.name, nv.ID, pe.ID, sup.restarts, sup.policy.MaxRestarts))
-		}
+		k.emitKernel(obs.EvSupervisor, obs.SupRestart, uint64(sup.restarts), nv.ID)
 		pe.Start(nv.Name, sup.prog)
 	})
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dtu"
 	"repro/internal/kif"
+	"repro/internal/obs"
 	"repro/internal/overload"
 	"repro/internal/sim"
 	"repro/internal/tile"
@@ -137,16 +136,14 @@ func (k *Kernel) freePE(pe *tile.PE) {
 
 // onDrop releases the kernel object of a removed capability.
 //
-// The drop is traced: revocation order is part of the event schedule
-// (session closes and memory releases happen in this order), so the
-// determinism regression test hashes these lines to witness it.
+// Each drop emits EvCapRevoke: revocation order is part of the event
+// schedule (session closes and memory releases happen in this order),
+// so the obs stream the determinism witness hashes records it.
 func (k *Kernel) onDrop(c *Capability) {
-	if k.Plat.Eng.Tracing() {
-		k.Plat.Eng.Emit("kernel", fmt.Sprintf("drop %s", c))
-	}
 	if tr := k.Plat.Obs; tr.On() {
 		k.mCapRevocations.Inc()
 	}
+	k.emitKernel(obs.EvCapRevoke, uint64(c.Type), uint64(c.sel), c.table.vpe.ID)
 	switch obj := c.Obj.(type) {
 	case *MemObj:
 		if obj.root && !obj.stable && obj.Node == k.Plat.DRAMNode {

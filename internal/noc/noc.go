@@ -446,9 +446,6 @@ func (n *Network) applyFault(from, to NodeID, pkt *Packet) bool {
 	switch n.fault(from, to, pkt) {
 	case LinkDrop:
 		n.PacketsDropped++
-		if n.eng.Tracing() {
-			n.eng.Emit("noc", fmt.Sprintf("drop pkt %d->%d seq %d at link %d->%d", pkt.Src, pkt.Dst, pkt.Seq, from, to))
-		}
 		if tr := n.obs; tr.On() {
 			tr.Emit(obs.Event{At: n.eng.Now(), PE: int32(pkt.Src), Layer: obs.LNoC,
 				Kind: obs.EvPktDrop, Span: obs.SpanID(pkt.Span),
@@ -460,9 +457,6 @@ func (n *Network) applyFault(from, to NodeID, pkt *Packet) bool {
 		if !pkt.Corrupt {
 			pkt.Corrupt = true
 			n.PacketsCorrupted++
-			if n.eng.Tracing() {
-				n.eng.Emit("noc", fmt.Sprintf("corrupt pkt %d->%d seq %d at link %d->%d", pkt.Src, pkt.Dst, pkt.Seq, from, to))
-			}
 			if tr := n.obs; tr.On() {
 				tr.Emit(obs.Event{At: n.eng.Now(), PE: int32(pkt.Src), Layer: obs.LNoC,
 					Kind: obs.EvPktCorrupt, Span: obs.SpanID(pkt.Span),

@@ -1,18 +1,19 @@
-// Package obs is the structured observability layer: typed,
+// Package obs is the simulator's one instrumentation stream: typed,
 // cycle-stamped events with causal span identifiers, deterministic
 // fixed-bucket latency histograms, and a bounded per-PE flight
-// recorder. It replaces the free-form string tracer for the hot
-// instrumentation paths (DTU, NoC, kernel syscalls) so a single
-// request's full path — app PE → NoC hops → kernel/service → reply —
-// reconstructs as nested spans (see docs/OBSERVABILITY.md).
+// recorder. The DTU, NoC and kernel emit here, so a single request's
+// full path — app PE → NoC hops → kernel/service → reply —
+// reconstructs as nested spans (see docs/OBSERVABILITY.md), and the
+// kernel's span-less bookkeeping (capability revocation order, reaps,
+// supervisor decisions) lands in the same stream.
 //
 // Determinism contract: events carry only simulated time and values
 // derived from the simulation, so identical (configuration, seed)
-// runs produce byte-identical event streams. With no Tracer installed
-// (or a disabled one), instrumented components must not schedule a
-// single extra engine event; call sites therefore guard every Emit
-// and histogram update with On() — the structured analogue of the
-// legacy Tracing() convention, enforced by m3vet's obsguard rule.
+// runs produce byte-identical event streams; the hash of that stream
+// is the run's determinism witness. With no Tracer installed (or a
+// disabled one), instrumented components must not schedule a single
+// extra engine event; call sites therefore guard every Emit and
+// histogram update with On(), enforced by m3vet's obsguard rule.
 package obs
 
 import (
@@ -154,7 +155,44 @@ const (
 	EvCreditStall
 	EvCreditOK
 
+	// Kernel bookkeeping kinds. They carry no span (Span 0), so the
+	// profiler and the critical-path engine ignore them; they exist so
+	// the event stream witnesses the kernel's teardown and recovery
+	// order.
+
+	// EvCapRevoke marks one capability removed by a revocation or a
+	// VPE teardown, in revocation order. Arg0 = capability type,
+	// Arg1 = selector, Arg2 = owning VPE id.
+	EvCapRevoke
+	// EvVPEReap marks the kernel tearing down a VPE whose core died.
+	// Arg0 = VPE id, Arg1 = the dead PE's node.
+	EvVPEReap
+	// EvProbeMiss marks a death-watch probe that got no answer.
+	// Arg0 = VPE id, Arg1 = consecutive misses, Arg2 = miss limit.
+	EvProbeMiss
+	// EvInvalidateFail marks an endpoint invalidation that timed out
+	// (the target DTU is gone with its PE). Arg0 = endpoint,
+	// Arg1 = target node.
+	EvInvalidateFail
+	// EvSupervisor marks one supervisor decision about a crashed,
+	// supervised service. Arg0 = action (SupExhausted, SupHold,
+	// SupNoPE, SupRestart), Arg1 = restarts so far; Arg2 = hold cycles
+	// (SupHold) or the new incarnation's VPE id (SupRestart).
+	EvSupervisor
+
 	numKinds
+)
+
+// Supervisor actions, carried in Arg0 of EvSupervisor.
+const (
+	// SupExhausted: the restart budget is used up; no respawn.
+	SupExhausted uint64 = iota + 1
+	// SupHold: the respawn is delayed while the breaker is open.
+	SupHold
+	// SupNoPE: the respawn found no spare PE.
+	SupNoPE
+	// SupRestart: the service was restarted.
+	SupRestart
 )
 
 var kindNames = [numKinds]string{
@@ -170,6 +208,7 @@ var kindNames = [numKinds]string{
 	"config", "reply-drop", "crash",
 	"deadline-drop", "admit-refuse", "shed", "breaker",
 	"credit-stall", "credit-ok",
+	"cap-revoke", "vpe-reap", "probe-miss", "invalidate-fail", "supervisor",
 }
 
 func (k Kind) String() string {

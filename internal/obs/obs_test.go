@@ -21,6 +21,34 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// TestKindAndLayerNames: every kind and layer renders under its own
+// name. kindNames is a fixed-size array, so a kind added without a
+// name would otherwise compile and print as "".
+func TestKindAndLayerNames(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		name := k.String()
+		if name == "" {
+			t.Errorf("kind %d has no name", k)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+	seenL := map[string]Layer{}
+	for l := Layer(0); l < numLayers; l++ {
+		name := l.String()
+		if name == "" {
+			t.Errorf("layer %d has no name", l)
+		}
+		if prev, dup := seenL[name]; dup {
+			t.Errorf("layers %d and %d share the name %q", prev, l, name)
+		}
+		seenL[name] = l
+	}
+}
+
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	if tr.On() {

@@ -71,8 +71,6 @@ type Engine struct {
 	// accounting, not simulation state).
 	flushed    uint64
 	deadlocked bool
-
-	tracer func(at Time, source, event string)
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
@@ -225,19 +223,4 @@ func (e *Engine) resume(p *Process) {
 	e.current = p
 	p.next()
 	e.current = prev
-}
-
-// SetTracer installs a callback receiving (time, source, event) lines
-// from instrumented components (DTUs, the kernel). Tracing is off by
-// default; call sites guard event-string formatting with Tracing.
-func (e *Engine) SetTracer(fn func(at Time, source, event string)) { e.tracer = fn }
-
-// Tracing reports whether a tracer is installed.
-func (e *Engine) Tracing() bool { return e.tracer != nil }
-
-// Emit delivers one trace event at the current time.
-func (e *Engine) Emit(source, event string) {
-	if e.tracer != nil {
-		e.tracer(e.now, source, event)
-	}
 }

@@ -85,9 +85,6 @@ func (pe *PE) Crash() {
 	if pe.prog != nil && !pe.prog.Dead() {
 		pe.prog.Kill()
 	}
-	if pe.plat.Eng.Tracing() {
-		pe.plat.Eng.Emit(fmt.Sprintf("pe%d", pe.ID), "core crashed")
-	}
 	if tr := pe.plat.Obs; tr.On() {
 		tr.Emit(obs.Event{At: pe.plat.Eng.Now(), PE: int32(pe.Node), Layer: obs.LApp,
 			Kind: obs.EvCrash})
