@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is the tier-1 gate (see ci.sh).
 
-.PHONY: ci build test vet vet-fast vet-baseline bench bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
+.PHONY: ci build test vet vet-fast bench bench-smoke bench-baseline diff-smoke slo-smoke slo-baseline chaos fuzz
 
 ci:
 	./ci.sh
@@ -15,17 +15,10 @@ vet:
 	go vet ./...
 	go run ./cmd/m3vet ./...
 
-# Syntactic rules only — skips the interprocedural fixpoint (call
-# graph, effect summaries, taint) for quick local iteration.
+# Syntactic rules only — skips the interprocedural passes (call graph,
+# taint, capflow) for quick local iteration.
 vet-fast:
 	go run ./cmd/m3vet -fast ./...
-
-# Regenerate the committed suppression set from the current tree. The
-# sharedstate keys in vet-baseline.json are the open shared-state
-# inventory (docs/ANALYSIS.md); review the diff before committing — a
-# new key is a new shared-state obligation.
-vet-baseline:
-	go run ./cmd/m3vet -write-baseline vet-baseline.json
 
 bench:
 	go test -bench=. -benchmem
@@ -84,17 +77,22 @@ chaos:
 	go test -race -run 'TestFaultDeterminism|TestChaosMatrix|TestObsChaosStreamDeterministic|TestFlightDump|TestOverload' ./internal/bench
 
 # Short fuzz smoke over the decoders of on-disk input — the fault-plan
-# parser, the m3fs metadata journal, the bench-file reader and the
-# run-capture reader — plus the event-queue cross-check (calendar
-# queue vs a test-only reference heap, pop order). The full fuzzers
-# run for as long as you let them: go test -fuzz FuzzFaultPlan
-# ./internal/fault, go test -fuzz FuzzJournal ./internal/m3fs,
+# parser, the m3fs metadata journal and image, the trace file, the
+# bench-file reader and the run-capture reader — plus the event-queue
+# cross-check (calendar queue vs a test-only reference heap, pop
+# order). The full fuzzers run for as long as you let them:
+# go test -fuzz FuzzFaultPlan ./internal/fault,
+# go test -fuzz FuzzJournal ./internal/m3fs,
+# go test -fuzz FuzzUnmarshalImage ./internal/m3fs,
+# go test -fuzz FuzzTraceUnmarshal ./internal/trace,
 # go test -fuzz FuzzReadBenchJSON ./internal/bench,
 # go test -fuzz FuzzReadCaptureJSON ./internal/obs,
 # go test -fuzz FuzzEventQueue ./internal/sim.
 fuzz:
 	go test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/fault
 	go test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/m3fs
+	go test -run '^$$' -fuzz FuzzUnmarshalImage -fuzztime 10s ./internal/m3fs
+	go test -run '^$$' -fuzz FuzzTraceUnmarshal -fuzztime 10s ./internal/trace
 	go test -run '^$$' -fuzz FuzzReadBenchJSON -fuzztime 10s ./internal/bench
 	go test -run '^$$' -fuzz FuzzReadCaptureJSON -fuzztime 10s ./internal/obs
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim

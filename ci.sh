@@ -3,14 +3,14 @@
 #
 #   build      the whole module compiles
 #   go vet     the stock Go checks
+#   gofmt      every Go file is gofmt-clean
 #   hostbench  `go vet` of the host benchmark in _hostbench, a module of
 #              its own that `./...` skips, so an API change cannot
 #              break the benchmark unnoticed; offline, writes no go.sum
 #   m3vet      the repo's own determinism & isolation linter, including
-#              the interprocedural passes (sharedstate, timetaint,
-#              capflow); known-accepted findings are suppressed by
-#              vet-baseline.json and the shared-state inventory is kept
-#              as artifacts/sharedstate.json (see docs/ANALYSIS.md)
+#              the interprocedural passes (timetaint, capflow); any
+#              finding fails, and the only suppression is a reasoned
+#              //m3vet:allow comment at the site (see docs/ANALYSIS.md)
 #   simbench   the process-switch microbenchmarks of internal/sim
 #              (Sleep switch, Signal ping-pong), run briefly so they
 #              keep compiling and running
@@ -23,8 +23,8 @@
 #              recovery, and the chaos-overload tier — graceful
 #              degradation under open-loop overload (docs/FAULTS.md,
 #              docs/RECOVERY.md, docs/OVERLOAD.md)
-#   fuzz       a short smoke over the fault-plan, journal, bench-file and
-#              run-capture decoders
+#   fuzz       a short smoke over the fault-plan, journal, m3fs image,
+#              trace, bench-file and run-capture decoders
 #   bench      the bench regression gate: the smoke experiment subset
 #              (with run captures bundled) diffed against the committed
 #              BENCH_5.json baseline; the JSON artifact and the
@@ -42,8 +42,9 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 (cd _hostbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off go vet .)
-go run ./cmd/m3vet -json artifacts/sharedstate.json ./...
+go run ./cmd/m3vet ./...
 go test -run '^$' -bench 'ProcessSwitch|SignalPingPong' -benchtime 100x ./internal/sim
 go test -race -shuffle=on ./...
 make chaos

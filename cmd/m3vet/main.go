@@ -7,25 +7,18 @@
 //
 // Flags:
 //
-//	-fast                 skip the interprocedural passes (sharedstate,
-//	                      timetaint, capflow): syntactic rules only, no
-//	                      call-graph fixpoint — quick local iteration
-//	-json FILE            write the structured report (findings with
-//	                      witness chains + the shared-state inventory)
-//	                      to FILE ("-" for stdout)
-//	-baseline FILE        suppress findings whose stable keys appear in
-//	                      FILE (default vet-baseline.json at the module
-//	                      root if present)
-//	-write-baseline FILE  write the current keyed findings to FILE and
-//	                      exit 0 (used by `make vet-baseline`)
+//	-fast  skip the interprocedural passes (timetaint, capflow):
+//	       syntactic rules only, no call-graph fixpoint — quick local
+//	       iteration
 //
 // Arguments are accepted for `go vet`-style muscle memory but the tool
 // always analyzes the whole module containing the working directory;
 // the invariants it checks are module-global (import-graph rules have
-// no meaning for a single package). Suppress a syntactic finding with a
+// no meaning for a single package). Interprocedural findings print
+// their witness chain, one indented step per line. The only way to
+// suppress a finding, syntactic or interprocedural, is a
 // `//m3vet:allow <rule> <reason>` comment on or above the flagged
-// line; interprocedural findings are suppressed by key through the
-// baseline file. See docs/ANALYSIS.md for the rule catalogue.
+// line. See docs/ANALYSIS.md for the rule catalogue.
 package main
 
 import (
@@ -39,9 +32,6 @@ import (
 
 func main() {
 	fast := flag.Bool("fast", false, "skip interprocedural passes (no call-graph fixpoint)")
-	jsonOut := flag.String("json", "", "write structured JSON report to this file (- for stdout)")
-	baselinePath := flag.String("baseline", "", "baseline suppression file (default: vet-baseline.json at module root)")
-	writeBaseline := flag.String("write-baseline", "", "write current keyed findings as the new baseline and exit")
 	flag.Parse()
 
 	root, err := moduleRoot()
@@ -53,40 +43,9 @@ func main() {
 	if *fast {
 		mods = nil
 	}
-	res, err := analysis.CheckModule(root, analysis.All(), mods)
+	diags, err := analysis.Check(root, analysis.All(), mods)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *writeBaseline != "" {
-		if err := analysis.WriteBaseline(*writeBaseline, res.Diagnostics); err != nil {
-			fatal(err)
-		}
-		keyed := 0
-		for _, d := range res.Diagnostics {
-			if d.Key != "" {
-				keyed++
-			}
-		}
-		fmt.Printf("m3vet: wrote %d accepted finding key(s) to %s\n", keyed, *writeBaseline)
-		return
-	}
-
-	bp := *baselinePath
-	if bp == "" {
-		bp = filepath.Join(root, "vet-baseline.json")
-	}
-	baseline, err := analysis.LoadBaseline(bp)
-	if err != nil {
-		fatal(err)
-	}
-	diags, suppressed := baseline.Filter(res.Diagnostics)
-
-	if *jsonOut != "" {
-		rep := analysis.BuildReport(root, diags, res.Inventory, suppressed)
-		if err := rep.WriteJSON(*jsonOut); err != nil {
-			fatal(err)
-		}
 	}
 
 	for _, d := range diags {
@@ -104,11 +63,7 @@ func main() {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "m3vet: %d finding(s)", len(diags))
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, " (+%d baseline-suppressed)", suppressed)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "m3vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -62,11 +62,6 @@ type Diagnostic struct {
 	Rule    string
 	Message string
 
-	// Key is a stable, position-independent identity for baseline
-	// suppression ("sharedstate:repro/internal/noc.Network.PacketsSent").
-	// Per-package syntactic rules leave it empty; they are gated by
-	// //m3vet:allow comments instead.
-	Key string
 	// Chain is the interprocedural witness for the finding, outermost
 	// step first. Empty for syntactic rules.
 	Chain []Fact
@@ -94,13 +89,12 @@ func All() []*Analyzer {
 }
 
 // ModuleAnalyzer is a whole-module rule: it sees every package at
-// once, plus the call graph and effect summaries the interprocedural
-// engine computed over them. The three dataflow passes (sharedstate,
-// timetaint, capflow) are module analyzers; the per-package syntactic
+// once, plus the call graph built over them. The two dataflow passes
+// (timetaint, capflow) are module analyzers; the per-package syntactic
 // rules stay plain Analyzers.
 type ModuleAnalyzer struct {
-	// Name is the rule identifier used in diagnostics, baseline keys
-	// and //m3vet:allow comments.
+	// Name is the rule identifier used in diagnostics and in
+	// //m3vet:allow comments.
 	Name string
 	// Doc is a one-line description of the protected invariant.
 	Doc string
@@ -111,26 +105,19 @@ type ModuleAnalyzer struct {
 // ModulePass carries one module analyzer's run.
 type ModulePass struct {
 	Analyzer *ModuleAnalyzer
-	// Pkgs are all module packages in path order.
-	Pkgs []*Package
-	// Graph is the conservative module call graph.
+	// Graph is the conservative module call graph over all module
+	// packages.
 	Graph *CallGraph
-	// Summaries are the fixpoint effect summaries over Graph.
-	Summaries *Summaries
-	// Inventory is the shared-state inventory, computed once per run.
-	Inventory []InventoryEntry
 
 	report func(Diagnostic)
 }
 
-// Report records a finding with a stable baseline key and a witness
-// chain.
-func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fact) {
+// Report records a finding with its witness chain.
+func (p *ModulePass) Report(pos token.Position, message string, chain []Fact) {
 	p.report(Diagnostic{
 		Pos:     pos,
 		Rule:    p.Analyzer.Name,
 		Message: message,
-		Key:     p.Analyzer.Name + ":" + key,
 		Chain:   chain,
 	})
 }
@@ -138,7 +125,6 @@ func (p *ModulePass) Report(pos token.Position, key, message string, chain []Fac
 // AllModule returns the module-level analyzer set in a fixed order.
 func AllModule() []*ModuleAnalyzer {
 	return []*ModuleAnalyzer{
-		SharedState,
 		TimeTaint,
 		CapFlow,
 	}
@@ -196,37 +182,6 @@ func collectAllows(pkg *Package, known map[string]bool) (map[allowKey]bool, []Di
 	return allows, bad
 }
 
-// RunAnalyzers executes the analyzers over one package and returns the
-// surviving (non-suppressed) diagnostics, position-sorted.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return runAnalyzersKnown(pkg, analyzers, nil)
-}
-
-// runAnalyzersKnown is RunAnalyzers with additional rule names treated
-// as known in //m3vet:allow comments (the module-level rules, which do
-// not run per package but may be suppressed per line).
-func runAnalyzersKnown(pkg *Package, analyzers []*Analyzer, extraKnown []string) []Diagnostic {
-	known := make(map[string]bool, len(analyzers)+len(extraKnown))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	for _, name := range extraKnown {
-		known[name] = true
-	}
-	allows, diags := collectAllows(pkg, known)
-	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Pkg: pkg}
-		pass.report = func(d Diagnostic) {
-			if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-				diags = append(diags, d)
-			}
-		}
-		a.Run(pass)
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
 // SortDiagnostics orders diagnostics by file, line, column, rule.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
@@ -244,34 +199,13 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Check loads every package of the module rooted at dir and runs the
-// analyzers over each. Load (parse or type) errors are returned as
-// errors, not diagnostics: the module must build before it can be
-// vetted.
-func Check(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := CheckModule(dir, analyzers, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// ModuleResult is everything one m3vet run produces: the findings plus
-// the shared-state inventory (ROADMAP item 2's synchronization
-// work-list), which is emitted even when it produces no diagnostics.
-type ModuleResult struct {
-	Diagnostics []Diagnostic
-	// Inventory is the shared-state inventory; nil when the
-	// interprocedural engine was skipped (fast mode).
-	Inventory []InventoryEntry
-}
-
-// CheckModule loads every package of the module rooted at dir, runs the
+// Check loads every package of the module rooted at dir, runs the
 // per-package analyzers over each, then (if any module analyzers are
-// given) builds the call graph and effect summaries once and runs the
-// interprocedural passes. Passing no module analyzers is "fast mode":
-// syntactic rules only, no fixpoint.
-func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*ModuleResult, error) {
+// given) builds the call graph once and runs the interprocedural
+// passes. Passing no module analyzers is "fast mode": syntactic rules
+// only. Load (parse or type) errors are returned as errors, not
+// diagnostics: the module must build before it can be vetted.
+func Check(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -288,71 +222,51 @@ func CheckModule(dir string, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*Mo
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	res, err := checkPackages(pkgs, analyzers, mods)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return checkPackages(pkgs, analyzers, mods), nil
 }
 
-// checkPackages is the load-free core of CheckModule, shared with the
-// overlay-fixture tests.
-func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyzer) (*ModuleResult, error) {
+// checkPackages is the load-free core of Check, shared with the
+// overlay-fixture tests. Every finding, per-package or module-level,
+// goes through the same //m3vet:allow filter; there is no other way to
+// suppress one.
+func checkPackages(pkgs []*Package, analyzers []*Analyzer, mods []*ModuleAnalyzer) []Diagnostic {
 	// Module-rule names are always legal in //m3vet:allow comments —
 	// including in fast mode, when the module passes themselves are
 	// skipped — so an allow for (say) timetaint does not flip between
 	// "valid" and "unknown rule" depending on how m3vet was invoked.
-	extraSet := make(map[string]bool)
-	var extraKnown []string
-	for _, m := range AllModule() {
-		extraSet[m.Name] = true
-		extraKnown = append(extraKnown, m.Name)
+	known := make(map[string]bool)
+	for _, a := range analyzers {
+		known[a.Name] = true
 	}
-	for _, m := range mods {
-		if !extraSet[m.Name] {
-			extraSet[m.Name] = true
-			extraKnown = append(extraKnown, m.Name)
+	for _, m := range append(AllModule(), mods...) {
+		known[m.Name] = true
+	}
+	var diags []Diagnostic
+	allows := make(map[allowKey]bool)
+	for _, pkg := range pkgs {
+		pkgAllows, bad := collectAllows(pkg, known)
+		diags = append(diags, bad...)
+		for k := range pkgAllows {
+			allows[k] = true
 		}
 	}
-	res := &ModuleResult{}
+	report := func(d Diagnostic) {
+		if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			diags = append(diags, d)
+		}
+	}
 	for _, pkg := range pkgs {
-		res.Diagnostics = append(res.Diagnostics, runAnalyzersKnown(pkg, analyzers, extraKnown)...)
+		for _, a := range analyzers {
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
+		}
 	}
 	if len(mods) > 0 {
 		graph := BuildCallGraph(pkgs)
-		sums := Summarize(graph)
-		res.Inventory = BuildInventory(graph, sums)
-		// Stamp //m3vet:resolve annotations onto the inventory before
-		// the module passes run: sharedstate skips resolved entries.
-		// Malformed or stale resolve comments surface as (unkeyed,
-		// unbaselineable) diagnostics.
-		res.Diagnostics = append(res.Diagnostics, applyResolutions(pkgs, res.Inventory)...)
-		// Line-level allow comments apply to module findings too; a
-		// baseline file handles the accepted inventory wholesale.
-		allKnown := make(map[string]bool)
-		for _, a := range analyzers {
-			allKnown[a.Name] = true
-		}
-		for _, name := range extraKnown {
-			allKnown[name] = true
-		}
-		allows := make(map[allowKey]bool)
-		for _, pkg := range pkgs {
-			pkgAllows, _ := collectAllows(pkg, allKnown)
-			for k := range pkgAllows {
-				allows[k] = true
-			}
-		}
+		registerFieldOwners(pkgs)
 		for _, m := range mods {
-			pass := &ModulePass{Analyzer: m, Pkgs: pkgs, Graph: graph, Summaries: sums, Inventory: res.Inventory}
-			pass.report = func(d Diagnostic) {
-				if !allows[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
-					res.Diagnostics = append(res.Diagnostics, d)
-				}
-			}
-			m.Run(pass)
+			m.Run(&ModulePass{Analyzer: m, Graph: graph, report: report})
 		}
 	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
+	SortDiagnostics(diags)
+	return diags
 }

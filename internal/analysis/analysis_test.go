@@ -19,7 +19,24 @@ func runOn(t *testing.T, analyzers []*Analyzer, path string, files map[string]st
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
-	return RunAnalyzers(pkg, analyzers)
+	return checkPackages([]*Package{pkg}, analyzers, nil)
+}
+
+// runModuleOn type-checks the overlay and runs the module analyzers
+// (call graph, taint, capflow) with no per-package analyzers.
+func runModuleOn(t *testing.T, overlay map[string]map[string]string) []Diagnostic {
+	t.Helper()
+	return checkPackages(loadPkgs(t, overlay), nil, AllModule())
+}
+
+func diagsOf(diags []Diagnostic, rule string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		if d.Rule == rule {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // finding is the (line, rule) fingerprint of one expected diagnostic.

@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the conservative call graph that the interprocedural
-// passes (sharedstate, timetaint, capflow) walk. The graph covers every
+// passes (timetaint, capflow) walk. The graph covers every
 // function and method declared in the module plus every function
 // literal, and resolves four call shapes:
 //
@@ -30,7 +30,7 @@ import (
 // over-approximation: it never misses a possible callee inside the
 // module, at the cost of edges that cannot happen at run time. The
 // passes built on top are designed so that over-approximation widens
-// inventories and taint, never shrinks them.
+// taint, never shrinks it.
 
 // FuncNode is one call-graph node: a declared function/method or a
 // function literal.

@@ -170,7 +170,6 @@ func runCapFlow(pass *ModulePass) {
 						continue
 					}
 					pass.Report(fset.Position(arg.Pos()),
-						fmt.Sprintf("%s->%s:%s:arg%d", callerLayer, calleeLayer, calleeKey(fn), i),
 						fmt.Sprintf("%s passed from %s layer (%s) into %s layer (%s.%s): selectors and node ids cross layers only through the kif syscall/delegation APIs",
 							kind, callerLayer, n.Name(), calleeLayer, calleePath, fn.Name()),
 						[]Fact{
@@ -181,7 +180,6 @@ func runCapFlow(pass *ModulePass) {
 				// Results crossing callee -> caller.
 				if kind := selKind(info.TypeOf(node)); kind != "" && crossingBanned(kind, calleeLayer, callerLayer) {
 					pass.Report(fset.Position(node.Pos()),
-						fmt.Sprintf("%s->%s:%s:result", calleeLayer, callerLayer, calleeKey(fn)),
 						fmt.Sprintf("%s returned from %s layer (%s.%s) into %s layer (%s): translate it at the boundary instead of leaking the raw value",
 							kind, calleeLayer, calleePath, fn.Name(), callerLayer, n.Name()),
 						[]Fact{
@@ -202,7 +200,6 @@ func runCapFlow(pass *ModulePass) {
 						continue
 					}
 					pass.Report(fset.Position(lhs.Pos()),
-						fmt.Sprintf("%s->%s:store:%s", callerLayer, ownerLayer, loc),
 						fmt.Sprintf("%s stored by %s layer (%s) into %s layer field %s: selector state belongs to its own layer",
 							kind, callerLayer, n.Name(), ownerLayer, loc),
 						[]Fact{
@@ -213,13 +210,4 @@ func runCapFlow(pass *ModulePass) {
 			return true
 		})
 	}
-}
-
-// calleeKey is the position-independent identity of a callee used in
-// baseline keys.
-func calleeKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
 }

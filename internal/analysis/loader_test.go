@@ -73,7 +73,7 @@ func TestListPackagesCoversModule(t *testing.T) {
 // must produce zero diagnostics. If this fails, either fix the flagged
 // code or annotate it with a justified //m3vet:allow.
 func TestRepoIsClean(t *testing.T) {
-	diags, err := Check(moduleRootForTest(t), All())
+	diags, err := Check(moduleRootForTest(t), All(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // across function boundaries via per-function summaries, and records a
 // sink whenever a tainted value reaches simulation state, the obs
 // layer, or bench JSON. Every sink carries a witness chain — the list
-// of steps from source to sink — for `m3vet -json`.
+// of steps from source to sink — that m3vet prints under the finding.
 
 // taintMark is one link of a taint witness chain. prev points toward
 // the source, so walking prev yields the chain sink-to-source; chain()

@@ -24,10 +24,7 @@ func runTimeTaint(pass *ModulePass) {
 		if len(chain) > 0 {
 			src = chain[0].Note
 		}
-		// The key is position-independent: the source kind plus the
-		// sink description survive unrelated line churn.
-		key := fmt.Sprintf("%s->%s", src, sink.Pos.Note)
-		pass.Report(sink.Pos.Pos, key,
+		pass.Report(sink.Pos.Pos,
 			fmt.Sprintf("%s reaches a determinism-sensitive sink: %s", src, sink.Pos.Note),
 			chain)
 	}

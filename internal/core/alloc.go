@@ -9,7 +9,6 @@ type allocator struct {
 	free []span // sorted by addr, coalesced
 }
 
-//m3vet:resolve sharedstate owner free-list spans are mutated only by the kernel allocator on the engine goroutine
 type span struct{ addr, size int }
 
 func newAllocator(addr, size int) *allocator {

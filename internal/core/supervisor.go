@@ -28,20 +28,16 @@ type supervised struct {
 	name     string
 	peType   tile.CoreType
 	prog     Program
-	policy RestartPolicy
-	//m3vet:resolve sharedstate owner restart bookkeeping is touched only by kernel reap/respawn helpers
+	policy   RestartPolicy
 	restarts int
-	//m3vet:resolve sharedstate owner restart bookkeeping is touched only by kernel reap/respawn helpers
-	vpe *VPE
+	vpe      *VPE
 
 	// region is the stable DRAM region pinned for this service (set on
 	// its first ReqMemStable): every incarnation gets the same bytes
 	// back, which is what makes the m3fs journal survive a crash.
 	region struct {
-		//m3vet:resolve sharedstate owner pinned-region record is written only by kernel helper processes
 		addr, size int
-		//m3vet:resolve sharedstate owner pinned-region record is written only by kernel helper processes
-		valid bool
+		valid      bool
 	}
 }
 

@@ -37,9 +37,7 @@ type DTU struct {
 	node noc.NodeID
 	spm  *mem.SPM
 
-	//m3vet:resolve sharedstate owner endpoint table is configured and drained in process or serial delivery context
-	eps []epState
-	//m3vet:resolve sharedstate owner flipped only by serial config-request handling
+	eps        []epState
 	privileged bool
 
 	// MsgAvail fires whenever a message or reply arrives at any receive
@@ -50,21 +48,16 @@ type DTU struct {
 	// endpoint.
 	CreditAvail *sim.Signal
 
-	//m3vet:resolve sharedstate owner operation ids are minted in process context
-	nextOp uint64
-	//m3vet:resolve sharedstate owner pending-op table is mutated in process context and serial delivery
+	nextOp  uint64
 	pending map[uint64]*pendingOp
 
 	// Reliability state, live only when faults is non-nil (see
 	// EnableFaults): outstanding acknowledged transfers by sequence
 	// number, received (sender, seq) pairs for duplicate suppression,
 	// and the core-liveness callback probes read.
-	faults *FaultConfig
-	//m3vet:resolve sharedstate owner sequence numbers are minted in transmit, process context
-	nextSeq uint64
-	//m3vet:resolve sharedstate owner the send table is inserted/deleted in transmit and read in Deliver, one context at a time under the engine's strict hand-off
-	sends map[uint64]*pendingSend
-	//m3vet:resolve sharedstate owner dedup windows are updated in Deliver, which runs on the engine goroutine
+	faults     *FaultConfig
+	nextSeq    uint64
+	sends      map[uint64]*pendingSend
 	seen       map[noc.NodeID]*dedupState
 	coreStatus func() bool
 
@@ -80,15 +73,12 @@ type DTU struct {
 	// before receive, so no retransmission resurrects the pointer).
 	// Delivered messages are never recycled: their Data legally
 	// escapes into software (kif.IStream wraps it).
-	//m3vet:resolve sharedstate owner pool head moves in newMessage (process context) and freeMessage (serial receive drops)
 	msgFree *Message
 
 	// waitingSince is the start of the core's in-progress DTU wait
 	// (valid while waiting is true), so utilization measurements see
 	// idle time that has not completed yet.
-	//m3vet:resolve sharedstate owner wait bookkeeping is touched by the owning core's process only
-	waiting bool
-	//m3vet:resolve sharedstate owner wait bookkeeping is touched by the owning core's process only
+	waiting      bool
 	waitingSince sim.Time
 
 	// obs is the structured tracer (nil-safe; see package obs) and
@@ -97,16 +87,14 @@ type DTU struct {
 	// the message or transfer is actually built. The register survives
 	// credit-denied retries because consumption happens only on the
 	// successful attempt.
-	obs *obs.Tracer
-	//m3vet:resolve sharedstate owner the span register is armed and consumed by the owning core's process
+	obs     *obs.Tracer
 	curSpan uint64
 
 	// Overload-control state, live only when overload is non-nil (see
 	// EnableOverload): the admission/deadline configuration and the
 	// one-slot deadline register software arms with StampDeadline, a
 	// sibling of the span register below.
-	overload *OverloadConfig
-	//m3vet:resolve sharedstate owner the deadline register is armed and consumed by the owning core's process
+	overload    *OverloadConfig
 	curDeadline sim.Time
 
 	// Cached metric handles (nil-safe, inert without a tracer); the
@@ -115,9 +103,7 @@ type DTU struct {
 	mCreditStalls  *obs.Counter
 	mRetransmits   *obs.Counter
 	mNacks         *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily in serial delivery context (admit runs in Deliver)
 	mDeadlineDrops *obs.Counter
-	//m3vet:resolve sharedstate owner registered lazily in serial delivery context (admit runs in Deliver)
 	mAdmitRefusals *obs.Counter
 
 	Stats Stats

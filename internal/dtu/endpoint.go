@@ -72,9 +72,8 @@ type Endpoint struct {
 	Target   noc.NodeID // PE holding the receive endpoint
 	TargetEP int        // receive endpoint index at Target
 	Label    uint64     // receiver-chosen, unforgeable sender identity
-	//m3vet:resolve sharedstate owner credits are spent in process context and restored in serial reply delivery
-	Credits int // remaining messages; UnlimitedCredits disables
-	MsgSize int // max payload bytes per message
+	Credits  int        // remaining messages; UnlimitedCredits disables
+	MsgSize  int        // max payload bytes per message
 
 	// Receive endpoint registers (the paper's buffer register).
 	BufAddr   int // ringbuffer address in the local SPM
@@ -97,11 +96,8 @@ type epState struct {
 
 	// Receive state: arrived but not yet fetched messages (FIFO), and
 	// the number of slots holding fetched-but-unacked messages.
-	//m3vet:resolve sharedstate owner ringbuffer state changes in serial Deliver and in the owning core's fetch/ack
-	arrived []*Message
-	//m3vet:resolve sharedstate owner ringbuffer state changes in serial Deliver and in the owning core's fetch/ack
+	arrived  []*Message
 	occupied int
-	//m3vet:resolve sharedstate owner ringbuffer state changes in serial Deliver and in the owning core's fetch/ack
 	nextSlot int
 }
 
@@ -110,10 +106,8 @@ type epState struct {
 type Message struct {
 	// Label identifies the sender; it was chosen by the receiver when
 	// the channel was created and cannot be forged by the sender.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	Label uint64
 	// Data is the message payload.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	Data []byte
 
 	// Reply routing, taken from the header. The fields are unexported
@@ -122,45 +116,33 @@ type Message struct {
 	// the message is an opaque reply capability (m3vet's capflow rule
 	// checks exactly this). replyEP < 0 means the sender did not permit
 	// a reply.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
-	replyNode noc.NodeID
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
-	replyEP int
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
+	replyNode  noc.NodeID
+	replyEP    int
 	replyLabel uint64
 	// creditEP is the sender's send endpoint whose credit is restored
 	// when the reply arrives.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	creditEP int
 
 	// Span is the causal trace id riding in the message header's label
 	// space (zero: none). Replies inherit it, so one request's full
 	// path reconstructs from the event stream.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	Span uint64
 
 	// Deadline is the propagated cycle budget riding in the header of
 	// an overload-controlled request (zero: none). Receivers compare
 	// the sim clock against sentAt+Deadline and drop expired work
 	// before it enters a ringbuffer (docs/OVERLOAD.md).
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	Deadline sim.Time
 	// flags marks overload fast-fail replies (msgFlagOverload,
 	// msgFlagExpired); see Overloaded/Expired.
-	//m3vet:resolve sharedstate message filled once at delivery, then handed off to the fetching software
 	flags uint8
 
-	//m3vet:resolve sharedstate message set at delivery; read/updated only by the owning fetcher afterwards
-	slot int
-	//m3vet:resolve sharedstate message set at delivery; read/updated only by the owning fetcher afterwards
+	slot    int
 	replied bool
-	//m3vet:resolve sharedstate message set at delivery; read/updated only by the owning fetcher afterwards
-	acked bool
-	//m3vet:resolve sharedstate message set at delivery; read/updated only by the owning fetcher afterwards
-	sentAt sim.Time
+	acked   bool
+	sentAt  sim.Time
 
 	// next links the DTU's message freelist (see DTU.newMessage).
-	//m3vet:resolve sharedstate owner freelist links move only in newMessage/freeMessage, serial paths
 	next *Message
 }
 
@@ -169,25 +151,15 @@ func (m *Message) CanReply() bool { return m.replyEP >= 0 }
 
 // Stats counts DTU activity for the evaluation harness.
 type Stats struct {
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	MsgsSent uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	MsgsReceived uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	MsgsDropped uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	Replies uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	SendsDenied uint64 // send attempts denied for lack of credits
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	MemReads uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	MemWrites uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	BytesRead uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	BytesWritten uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
+	MsgsSent       uint64
+	MsgsReceived   uint64
+	MsgsDropped    uint64
+	Replies        uint64
+	SendsDenied    uint64 // send attempts denied for lack of credits
+	MemReads       uint64
+	MemWrites      uint64
+	BytesRead      uint64
+	BytesWritten   uint64
 	ConfigsApplied uint64
 
 	// Reliability counters, nonzero only with fault injection enabled:
@@ -195,41 +167,30 @@ type Stats struct {
 	// budget, timed-out remote operations (each timeout retries until
 	// the budget runs out), duplicate deliveries suppressed, and
 	// corrupted packets discarded on arrival.
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	Retransmits uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
+	Retransmits  uint64
 	SendsAborted uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	OpTimeouts uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	DupsDropped uint64
-	//m3vet:resolve sharedstate owner counted in Deliver on the engine goroutine
-	Poisoned uint64
+	OpTimeouts   uint64
+	DupsDropped  uint64
+	Poisoned     uint64
 
 	// Overload-control counters, nonzero only with EnableOverload:
 	// requests dropped because their propagated deadline expired in
 	// flight, and requests refused by the admission watermark.
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
-	DeadlineDrops uint64
-	//m3vet:resolve sharedstate owner counted in process context or serial delivery
+	DeadlineDrops   uint64
 	OverloadRefused uint64
 
 	// IdleCycles accumulates the time the attached core spent waiting
 	// on the DTU — for messages, credits, or transfer completions. The
 	// paper trades this idle time for heterogeneity support (§3.4);
 	// see the utilization experiment.
-	//m3vet:resolve sharedstate owner accumulated by the owning core's process only
 	IdleCycles uint64
 }
 
 // pendingOp tracks an outstanding remote operation (RDMA, remote
 // config, or probe) awaiting its response packet.
 type pendingOp struct {
-	done *sim.Signal
-	//m3vet:resolve sharedstate owner response slots are filled in serial Deliver and read by the woken process
-	resp *MemResp
-	//m3vet:resolve sharedstate owner response slots are filled in serial Deliver and read by the woken process
-	cfg *ConfigResp
-	//m3vet:resolve sharedstate owner response slots are filled in serial Deliver and read by the woken process
+	done  *sim.Signal
+	resp  *MemResp
+	cfg   *ConfigResp
 	probe *probeResp
 }

@@ -142,10 +142,8 @@ func (fc *FaultConfig) stall(p *sim.Process) {
 
 // pendingSend tracks one reliable outbound transfer awaiting its ack.
 type pendingSend struct {
-	done *sim.Signal
-	//m3vet:resolve sharedstate owner flipped by the receiving DTU's Deliver on the engine goroutine; the sending process reads it after its signal wakes it under the strict hand-off
-	acked bool
-	//m3vet:resolve sharedstate owner flipped by the receiving DTU's Deliver on the engine goroutine; the sending process reads it after its signal wakes it under the strict hand-off
+	done   *sim.Signal
+	acked  bool
 	nacked bool
 }
 
@@ -165,9 +163,7 @@ type seqKey struct {
 // stays bounded by the sender's in-flight window however many
 // transfers the run carries.
 type dedupState struct {
-	//m3vet:resolve sharedstate owner dedup windows advance in serial Deliver only
 	floor uint64
-	//m3vet:resolve sharedstate owner dedup windows advance in serial Deliver only
 	ahead map[uint64]bool
 }
 

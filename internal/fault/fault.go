@@ -150,10 +150,8 @@ func (pl Plan) normalized() (Plan, error) {
 type crashState struct {
 	crash   Crash
 	skipped bool // PE out of range or the kernel's own: never fires
-	//m3vet:resolve sharedstate owner crash events fire in serial engine callbacks
-	fired bool
-	//m3vet:resolve sharedstate owner crash events fire in serial engine callbacks
-	victim *core.VPE // the VPE on the PE at crash time, if any
+	fired   bool
+	victim  *core.VPE // the VPE on the PE at crash time, if any
 }
 
 // Injector is an attached fault plan: the hooks are armed and the
@@ -193,10 +191,9 @@ func Attach(kern *core.Kernel, plan Plan) (*Injector, error) {
 		// number, cycle) rather than the next value of a stream shared
 		// by every PE's send path — so a hop's verdict never depends on
 		// which other PEs transmitted before it. That keeps one PE's
-		// fault schedule independent of every other PE's traffic (the
-		// old shared stream is exactly what m3vet's sharedstate pass
-		// flags) and gives retransmissions of the same sequence number
-		// fresh draws (they traverse at a later cycle).
+		// fault schedule independent of every other PE's traffic and
+		// gives retransmissions of the same sequence number fresh draws
+		// (they traverse at a later cycle).
 		drop, corrupt := plan.DropRate, plan.CorruptRate
 		seed := plan.Seed ^ saltLink
 		eng := plat.Eng
@@ -215,7 +212,8 @@ func Attach(kern *core.Kernel, plan Plan) (*Injector, error) {
 	// Each PE gets its own fault configuration with its own stall
 	// stream, salted by node id: transfer-engine stalls are per-PE
 	// hardware behavior, and a stream shared across PEs would couple
-	// one PE's stall schedule to every other PE's send count.
+	// one PE's stall schedule to every other PE's send count
+	// (TestStallScheduleIndependentOfOtherPEs).
 	base := dtu.FaultConfig{Timeout: plan.Timeout, MaxRetries: plan.MaxRetries}
 	if len(plan.Brownouts) > 0 {
 		windows := plan.Brownouts

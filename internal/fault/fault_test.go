@@ -4,7 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dtu"
+	"repro/internal/m3"
+	"repro/internal/sim"
+	"repro/internal/tile"
 )
 
 func TestPlanValidate(t *testing.T) {
@@ -106,8 +110,8 @@ func TestDecodePlanShortInput(t *testing.T) {
 // The injector must own its plan: normalized() reheads the Brownouts
 // and Crashes slices onto private arrays, so mutating the caller's
 // slices after Attach cannot rewrite an armed schedule. (Regression
-// test for an aliasing bug found by m3vet's sharedstate triage: the
-// injector used to retain the caller's backing arrays.)
+// test for an aliasing bug: the injector used to retain the caller's
+// backing arrays.)
 func TestNormalizedCopiesSlices(t *testing.T) {
 	orig := Plan{
 		Seed:      1,
@@ -143,5 +147,76 @@ func TestNormalizedDefaults(t *testing.T) {
 	}
 	if _, err := (Plan{DropRate: 2}).normalized(); err == nil {
 		t.Fatal("invalid plan normalized without error")
+	}
+}
+
+// stallPattern boots a three-PE machine with transfer stalls armed and
+// reports which of PE A's n DRAM writes stalled while PE B issues
+// bWrites writes of its own at the same time. A stall sleeps far
+// longer than any contention B's traffic can add, so a write's
+// duration says whether it stalled.
+func stallPattern(t *testing.T, n, bWrites int) []bool {
+	t.Helper()
+	const stall = 1 << 20
+	eng := sim.NewEngine()
+	kern := core.Boot(tile.NewPlatform(eng, tile.Homogeneous(3)), 0)
+	writer := func(writes int, record func(stalled bool)) core.Program {
+		return func(ctx *tile.Ctx) {
+			env := m3.NewEnv(ctx, kern)
+			mg, err := env.ReqMem(4096, dtu.PermRW)
+			if err != nil {
+				t.Error(err)
+				env.Exit(1)
+				return
+			}
+			buf := make([]byte, 64)
+			for i := 0; i < writes; i++ {
+				start := ctx.Now()
+				if err := mg.Write(buf, 0); err != nil {
+					t.Error(err)
+					break
+				}
+				if record != nil {
+					record(ctx.Now()-start >= stall)
+				}
+			}
+			env.Exit(0)
+		}
+	}
+	var pattern []bool
+	if _, err := kern.StartInit("a", "", writer(n, func(s bool) { pattern = append(pattern, s) })); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kern.StartInit("b", "", writer(bWrites, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Attach(kern, Plan{Seed: 7, StallRate: 0.5, StallCycles: stall}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if len(pattern) != n {
+		t.Fatalf("PE A finished %d of %d writes", len(pattern), n)
+	}
+	return pattern
+}
+
+// Transfer-engine stalls are per-PE hardware behaviour: each PE draws
+// from its own stream, so PE A's stall schedule must not depend on how
+// much PE B transmits. A single stream shared by all PEs would shift
+// A's draws by every transfer B makes in between.
+func TestStallScheduleIndependentOfOtherPEs(t *testing.T) {
+	quiet := stallPattern(t, 32, 0)
+	busy := stallPattern(t, 32, 200)
+	if !reflect.DeepEqual(quiet, busy) {
+		t.Fatalf("PE A's stall schedule depends on PE B's traffic:\nB idle: %v\nB busy: %v", quiet, busy)
+	}
+	stalls := 0
+	for _, s := range quiet {
+		if s {
+			stalls++
+		}
+	}
+	if stalls == 0 || stalls == len(quiet) {
+		t.Fatalf("degenerate schedule (%d of %d stalled): the test cannot tell streams apart", stalls, len(quiet))
 	}
 }

@@ -99,7 +99,7 @@ func (i *IStream) ErrCode() Error { return Error(i.U64()) }
 // Str decodes a length-prefixed string.
 func (i *IStream) Str() string {
 	n := int(i.U64())
-	if i.err != nil || n < 0 || i.pos+n > len(i.buf) {
+	if i.err != nil || n < 0 || n > len(i.buf)-i.pos {
 		i.fail("string")
 		return ""
 	}
@@ -111,7 +111,7 @@ func (i *IStream) Str() string {
 // Blob decodes a length-prefixed byte slice (copied).
 func (i *IStream) Blob() []byte {
 	n := int(i.U64())
-	if i.err != nil || n < 0 || i.pos+n > len(i.buf) {
+	if i.err != nil || n < 0 || n > len(i.buf)-i.pos {
 		i.fail("blob")
 		return nil
 	}

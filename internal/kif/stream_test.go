@@ -55,6 +55,25 @@ func TestStreamTruncation(t *testing.T) {
 	}
 }
 
+// A length prefix near the top of the int range must fail as
+// truncation: adding it to the read position overflows, which once let
+// it past the bounds check and panicked on the slice.
+func TestStreamHugeLength(t *testing.T) {
+	var o OStream
+	o.U64(7).U64(1<<63 - 1).U64(0)
+	for _, read := range []func(*IStream){
+		func(i *IStream) { _ = i.Str() },
+		func(i *IStream) { _ = i.Blob() },
+	} {
+		i := NewIStream(o.Bytes())
+		i.U64()
+		read(i)
+		if i.Err() == nil {
+			t.Fatal("huge length prefix decoded without error")
+		}
+	}
+}
+
 func TestStreamEmptyString(t *testing.T) {
 	var o OStream
 	o.Str("").Blob(nil)

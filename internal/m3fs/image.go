@@ -120,8 +120,12 @@ func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error
 	totalBlocks := int(is.U64())
 	nextIno := is.U64()
 	rootIno := is.U64()
+	// The block bitmap is sized from totalBlocks before any extent is
+	// read, so its cap bounds what a forged superblock can allocate:
+	// 1<<24 blocks is 16 MiB of bitmap and over a hundred times the
+	// largest region any platform here gives m3fs.
 	if is.Err() != nil || blockSize <= 0 || blockSize > 1<<20 ||
-		totalBlocks <= 0 || totalBlocks > 1<<28 {
+		totalBlocks <= 0 || totalBlocks > 1<<24 {
 		return nil, fmt.Errorf("m3fs: corrupt superblock")
 	}
 	fs := &FsCore{
@@ -148,7 +152,9 @@ func UnmarshalImage(data []byte, blockSink func(block int, content []byte) error
 		}
 		for e := 0; e < nExt; e++ {
 			ext := Extent{Start: int(is.U64()), Blocks: int(is.U64())}
-			if ext.Start < 0 || ext.Blocks <= 0 || ext.Start+ext.Blocks > totalBlocks {
+			// Compared as Blocks > totalBlocks-Start: Start+Blocks can
+			// overflow and wrap below totalBlocks.
+			if ext.Start < 0 || ext.Blocks <= 0 || ext.Blocks > totalBlocks-ext.Start {
 				return nil, fmt.Errorf("m3fs: inode %d extent out of bounds", ino.Ino)
 			}
 			ino.Extents = append(ino.Extents, ext)

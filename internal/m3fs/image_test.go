@@ -119,6 +119,21 @@ func TestImageCorruptionProperty(t *testing.T) {
 	}
 }
 
+// An extent whose end overflows int must be refused: {1<<62, 1<<62}
+// sums to a negative end that once passed the bounds check, marked no
+// block used, and loaded as a clean filesystem.
+func TestImageExtentOverflow(t *testing.T) {
+	fs := NewFsCore(16<<10, 1024)
+	ino, _, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ino.Extents = []Extent{{Start: 1 << 62, Blocks: 1 << 62}}
+	if _, err := UnmarshalImage(fs.MarshalImage(nil), nil); err == nil {
+		t.Fatal("image with an overflowing extent loaded")
+	}
+}
+
 func TestImageEmptyFilesystem(t *testing.T) {
 	fs := NewFsCore(64<<10, 1024)
 	img := fs.MarshalImage(nil)

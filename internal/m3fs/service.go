@@ -25,11 +25,11 @@ const (
 // Config parameterizes the m3fs service.
 type Config struct {
 	// RegionSize is the DRAM region backing the filesystem (default 32 MiB).
-	RegionSize int //m3vet:resolve sharedstate owner defaulted once at service start, read-only thereafter
+	RegionSize int
 	// BlockSize (default 1 KiB, the paper's benchmark configuration).
-	BlockSize int //m3vet:resolve sharedstate owner defaulted once at service start, read-only thereafter
+	BlockSize int
 	// AppendBlocks is the per-append preallocation (default 256).
-	AppendBlocks int //m3vet:resolve sharedstate owner defaulted once at service start, read-only thereafter
+	AppendBlocks int
 	// Image, when set, is a filesystem image the service loads into
 	// its DRAM region at start (boot from persistent storage).
 	Image []byte
@@ -40,7 +40,7 @@ type Config struct {
 	Journal bool
 	// JournalSize is the journal area carved from the region tail
 	// (default DefaultJournalSize).
-	JournalSize int //m3vet:resolve sharedstate owner defaulted once at service start, read-only thereafter
+	JournalSize int
 }
 
 func (c *Config) defaults() {

@@ -31,21 +31,15 @@ type NodeID int
 // payload pointer survives in the model, but receivers must treat the
 // packet as poisoned.
 type Packet struct {
-	//m3vet:resolve sharedstate message header fields are written by the packet's current owner under the pool hand-off discipline
 	Src, Dst NodeID
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
-	Size int
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
-	Payload any
-	//m3vet:resolve sharedstate message assigned by the sender before transmit; owner-exclusive per the pool discipline
-	Seq uint64
-	//m3vet:resolve sharedstate message set by the serial fault hook while the network owns the packet
-	Corrupt bool
+	Size     int
+	Payload  any
+	Seq      uint64
+	Corrupt  bool
 
 	// Span is the causal trace id of the request this packet belongs
 	// to (zero: none). The DTU stamps it from the message header so
 	// the observability layer can reconstruct a request's NoC flights.
-	//m3vet:resolve sharedstate message written by the packet's current owner under the pool hand-off discipline
 	Span uint64
 
 	// Retain transfers ownership of a delivered fire-and-forget packet
@@ -54,11 +48,9 @@ type Packet struct {
 	// done. Handlers that queue the packet for later processing (the
 	// DTU's request server) set it inside Deliver. See FreePacket for
 	// the full ownership rules.
-	//m3vet:resolve sharedstate message set inside Deliver by the receiving handler, which owns the packet at that point
 	Retain bool
 
 	// next links the network's packet freelist.
-	//m3vet:resolve sharedstate owner freelist links are only touched by NewPacket/FreePacket, which run on the engine goroutine or under its strict hand-off
 	next *Packet
 }
 
@@ -120,29 +112,22 @@ type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	handlers []Handler
-	//m3vet:resolve sharedstate owner link resources are created at boot and arbitrated in process context
-	links map[linkKey]*sim.Resource
-	//m3vet:resolve sharedstate owner lazily created in serial Send paths only
+	links    map[linkKey]*sim.Resource
 	linkBusy map[linkKey]*obs.Counter
 	fault    FaultHook
 	obs      *obs.Tracer
 
 	// PacketsSent counts injected packets; BytesSent the wire bytes.
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, one context at a time under the engine's strict hand-off
 	PacketsSent uint64
-	//m3vet:resolve sharedstate owner NoC totals bump in Send/SendAsync, one context at a time under the engine's strict hand-off
-	BytesSent uint64
+	BytesSent   uint64
 	// PacketsDropped and PacketsCorrupted count fault-injected losses
 	// and header corruptions.
-	//m3vet:resolve sharedstate owner fault accounting happens inside serial link hooks
-	PacketsDropped uint64
-	//m3vet:resolve sharedstate owner fault accounting happens inside serial link hooks
+	PacketsDropped   uint64
 	PacketsCorrupted uint64
 
 	// free heads the packet freelist. All alloc/free sites run in
 	// engine or process context, one at a time under the engine's
 	// strict hand-off, so a plain list suffices.
-	//m3vet:resolve sharedstate owner pool head moves only in NewPacket/FreePacket, serial by the ownership rules above
 	free *Packet
 }
 

@@ -74,9 +74,7 @@ type Request struct {
 	Op    uint64   // root Arg0 (opcode / endpoint)
 	Start sim.Time // root open
 	End   sim.Time // root close
-	//m3vet:resolve sharedstate owner set once at completion in the sink callback, read-only afterwards
-	Fail bool // root closed with an error, or a shed verdict fired
-	//m3vet:resolve sharedstate owner computed once at completion in the sink callback, read-only afterwards
+	Fail  bool     // root closed with an error, or a shed verdict fired
 	Blame BlameVec
 }
 
@@ -87,7 +85,6 @@ func (r Request) Latency() sim.Time { return r.End - r.Start }
 // the exact p99/p99.9 path can be exported (m3trace -span).
 type Exemplar struct {
 	Request
-	//m3vet:resolve sharedstate owner event tree is copied once at capture in the sink callback
 	Events    []Event
 	Truncated bool // per-request event cap hit; tree is a prefix
 }
@@ -130,10 +127,8 @@ func (o CritPathOptions) withDefaults() CritPathOptions {
 
 // reqState is one in-flight root span being assembled.
 type reqState struct {
-	root Event
-	//m3vet:resolve sharedstate owner event list grows in the sink callback only
-	events []Event
-	//m3vet:resolve sharedstate owner truncation flag is set in the sink callback only
+	root      Event
+	events    []Event
 	truncated bool
 }
 
@@ -143,24 +138,16 @@ type reqState struct {
 type CritPath struct {
 	opt CritPathOptions
 
-	//m3vet:resolve sharedstate owner critpath state is mutated only from the emitting simulation context (sink callback)
-	active map[SpanID]*reqState
-	//m3vet:resolve sharedstate owner eviction order is appended/advanced in the sink callback only
-	order []SpanID
-	//m3vet:resolve sharedstate owner head index advances with evictions in the sink callback only
+	active    map[SpanID]*reqState
+	order     []SpanID
 	orderHead int
 
-	//m3vet:resolve sharedstate owner summaries are appended on request completion in the sink callback only
 	summaries []Request
-	//m3vet:resolve sharedstate owner exemplar list is re-sorted on completion in the sink callback only
 	exemplars []*Exemplar
 
-	//m3vet:resolve sharedstate owner aggregate blame is bumped on completion in the sink callback only
 	total BlameVec
-	//m3vet:resolve sharedstate owner end-to-end histogram is observed on completion in the sink callback only
-	hist Histogram
+	hist  Histogram
 
-	//m3vet:resolve sharedstate owner counters are bumped in the sink callback only
 	completed, failed, evicted, truncated, dropped uint64
 }
 

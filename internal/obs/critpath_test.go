@@ -222,8 +222,8 @@ func TestCritPathNilAndForeignEvents(t *testing.T) {
 	var c *CritPath
 	c.Consume(Event{Kind: EvSyscallStart, Span: 1}) // must not panic
 	real := NewCritPath(CritPathOptions{})
-	real.Consume(Event{Kind: EvMsgSend, Span: 99})  // tail of unknown span
-	real.Consume(Event{Kind: EvSyscallStart})       // span 0
+	real.Consume(Event{Kind: EvMsgSend, Span: 99}) // tail of unknown span
+	real.Consume(Event{Kind: EvSyscallStart})      // span 0
 	if len(real.active) != 0 || real.Completed() != 0 {
 		t.Fatalf("untracked events created state")
 	}

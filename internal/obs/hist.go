@@ -47,14 +47,10 @@ type Histogram struct {
 
 	// counts[i] holds values v with bits.Len64(v) == i: bucket 0 is
 	// exactly {0}, bucket i covers [2^(i-1), 2^i).
-	//m3vet:resolve sharedstate owner buckets are bumped on Observe in the observing simulation context only
 	counts [65]uint64
-	//m3vet:resolve sharedstate owner observation count is bumped on Observe only
-	n uint64
-	//m3vet:resolve sharedstate owner running sum is bumped on Observe only
-	sum uint64
-	//m3vet:resolve sharedstate owner running max is updated on Observe only
-	max uint64
+	n      uint64
+	sum    uint64
+	max    uint64
 }
 
 // Observe records one value.

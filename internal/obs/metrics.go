@@ -55,7 +55,6 @@ func (k metricKind) String() string {
 // nil pointer is a valid, permanently inert counter so call sites can
 // cache the pointer unconditionally.
 type Counter struct {
-	//m3vet:resolve sharedstate owner counter value is bumped by the owning simulation context only
 	v uint64
 }
 
@@ -110,9 +109,7 @@ func (g *Gauge) Value() int64 {
 // sampler tick appends source(). The ring is unbounded in simulation
 // terms but bounded in practice by run length / interval.
 type Series struct {
-	//m3vet:resolve sharedstate owner sample source is set once at registration
-	source func() int64
-	//m3vet:resolve sharedstate owner samples are appended by the engine-scheduled sampler tick only
+	source  func() int64
 	samples []int64
 }
 
@@ -147,9 +144,8 @@ type Entry struct {
 	Idx  int
 	Kind metricKind
 
-	//m3vet:resolve sharedstate owner instrument pointers are set once at registration
 	c *Counter
-	g *Gauge //m3vet:resolve sharedstate owner instrument pointers are set once at registration
+	g *Gauge
 	s *Series
 }
 
@@ -179,9 +175,8 @@ func (e *Entry) Samples() []int64 {
 // Like the Tracer it is engine-local simulation state: no locking, and
 // a nil *Registry is valid and permanently inert.
 type Registry struct {
-	//m3vet:resolve sharedstate owner entry list and index are appended at registration time only
 	entries []*Entry
-	index   map[metricKey]*Entry //m3vet:resolve sharedstate owner entry list and index are appended at registration time only
+	index   map[metricKey]*Entry
 
 	interval sim.Time
 	sampling bool

@@ -276,16 +276,13 @@ const DefaultFlightRecorder = 64
 // A nil *Tracer is valid everywhere and permanently off, so components
 // hold a plain field and call On() without nil checks.
 type Tracer struct {
-	enabled bool
-	//m3vet:resolve sharedstate owner span ids are allocated by the emitting simulation context only
+	enabled  bool
 	nextSpan SpanID
 	sink     func(Event)
 
 	flightCap int
-	//m3vet:resolve sharedstate owner per-PE rings are created lazily and written by the emitting context only
-	rings []*flightRing // index = PE node id
+	rings     []*flightRing // index = PE node id
 
-	//m3vet:resolve sharedstate owner hardware histograms are observed by the emitting context only
 	hists   [NumHists]Histogram
 	metrics *Registry
 	slos    *SLOSet

@@ -36,10 +36,8 @@ type profFrame struct {
 	kind   Kind
 	span   SpanID
 	start  sim.Time
-	//m3vet:resolve sharedstate owner child cycles accumulate while the frame's PE consumes its own events
-	child uint64 // cycles attributed to nested frames and flights
-	path  string // full folded path, "pe<N>;layer/kind;..."
-	//m3vet:resolve sharedstate owner close flag is set by the consuming context only
+	child  uint64 // cycles attributed to nested frames and flights
+	path   string // full folded path, "pe<N>;layer/kind;..."
 	closed bool
 }
 
@@ -52,12 +50,9 @@ type profFlight struct {
 
 // Profiler aggregates self-cycles per folded call path.
 type Profiler struct {
-	//m3vet:resolve sharedstate owner per-PE stacks are mutated by the consuming context only
-	stacks map[int32][]*profFrame
-	//m3vet:resolve sharedstate owner flight lists are mutated by the consuming context only
+	stacks  map[int32][]*profFrame
 	flights map[SpanID][]profFlight
-	//m3vet:resolve sharedstate owner cycle totals accumulate in the consuming context only
-	cycles map[string]uint64
+	cycles  map[string]uint64
 }
 
 // NewProfiler returns an empty profiler.

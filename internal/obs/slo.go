@@ -93,7 +93,6 @@ type BreachEvent struct {
 
 // sloBucket is one ring slot of windowed counts.
 type sloBucket struct {
-	//m3vet:resolve sharedstate owner bucket counts are bumped on Observe in the observing simulation context only
 	good, total uint64
 }
 
@@ -102,18 +101,12 @@ type SLO struct {
 	name string
 	cfg  SLOConfig
 
-	//m3vet:resolve sharedstate owner ring counts rotate on Observe in the observing simulation context only
-	ring []sloBucket
-	//m3vet:resolve sharedstate owner current bucket index advances on Observe only
-	cur int64 // absolute bucket index of ring head, -1 before first obs
-	//m3vet:resolve sharedstate owner lifetime totals are bumped on Observe only
+	ring        []sloBucket
+	cur         int64 // absolute bucket index of ring head, -1 before first obs
 	good, total uint64
-	//m3vet:resolve sharedstate owner state flips on Observe only
-	state SLOState
-	//m3vet:resolve sharedstate owner transition count is bumped on Observe only
+	state       SLOState
 	transitions uint64
-	//m3vet:resolve sharedstate owner subscriber list is appended at registration time only
-	subs []func(BreachEvent)
+	subs        []func(BreachEvent)
 }
 
 // Name returns the objective's registered name.
@@ -270,7 +263,6 @@ func (o *SLO) Transitions() uint64 {
 // m3vet's sloname rule — package-level constants, so the set of
 // objectives is a static property of the build, never data-dependent.
 type SLOSet struct {
-	//m3vet:resolve sharedstate owner objective list and index are appended at registration time in setup context only
 	slos  []*SLO
 	index map[string]*SLO
 }

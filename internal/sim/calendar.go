@@ -31,18 +31,14 @@ import "container/heap"
 //     the host may legally schedule earlier than the last peeked time,
 //     and those pushes must still land inside the scanned window.
 type calendarQueue struct {
-	//m3vet:resolve sharedstate owner queue structure is pushed and popped on the engine goroutine only
 	buckets [wheelSize]cqBucket
 	// cur is the earliest cycle that may still hold events: the at of
 	// the most recently popped event (pushes are never earlier).
 	cur Time
 	// inWheel counts wheel-resident events; size counts all.
-	//m3vet:resolve sharedstate owner queue bookkeeping, engine goroutine only
 	inWheel int
-	//m3vet:resolve sharedstate owner queue bookkeeping, engine goroutine only
-	size int
-	//m3vet:resolve sharedstate owner overflow heap mutated by engine-side push/pop only
-	far eventHeap
+	size    int
+	far     eventHeap
 }
 
 const (
@@ -54,7 +50,6 @@ const (
 // cqBucket drains front-to-back so same-cycle events stay FIFO (= seq
 // order); the backing array is reused once drained.
 type cqBucket struct {
-	//m3vet:resolve sharedstate owner bucket contents change only under engine-side push/pop
 	evs  []*event
 	head int
 }

@@ -28,14 +28,10 @@ type Time uint64
 // takes one from the freelist and step returns it zeroed, so the
 // steady-state hot path allocates nothing per event.
 type event struct {
-	//m3vet:resolve sharedstate owner events are created, executed and pooled on the engine goroutine only
-	at Time
-	//m3vet:resolve sharedstate owner written once at Schedule time on the engine goroutine
+	at  Time
 	seq uint64
-	//m3vet:resolve sharedstate owner written at Schedule and zeroed at pool return, both engine-side
-	fn func()
+	fn  func()
 	// next links the engine freelist.
-	//m3vet:resolve sharedstate owner freelist links are only touched by the engine's pool get/put
 	next *event
 }
 
@@ -50,20 +46,14 @@ type Config struct{}
 // either from inside a callback scheduled on it or from a process spawned
 // on it. The zero value is not usable; call NewEngine.
 type Engine struct {
-	now Time
-	//m3vet:resolve sharedstate owner bumped by Schedule, which runs on the engine goroutine or under its strict hand-off
-	seq uint64
-	//m3vet:resolve sharedstate owner the event queue is pushed and popped on the engine goroutine only
+	now   Time
+	seq   uint64
 	queue *calendarQueue
-	//m3vet:resolve sharedstate owner event pool mutated by engine-side Schedule and step only
-	free *event
+	free  *event
 
-	//m3vet:resolve sharedstate owner strict hand-off: set by the engine before waking a process
 	current *Process
 
-	//m3vet:resolve sharedstate owner process accounting happens in Spawn and process exit, engine-side
-	liveProcs int
-	//m3vet:resolve sharedstate owner process accounting happens in Spawn and process exit, engine-side
+	liveProcs   int
 	daemonProcs int
 	executed    uint64
 	// flushed tracks how much of executed has been folded into the

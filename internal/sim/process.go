@@ -21,23 +21,16 @@ type Process struct {
 	name string
 	// next resumes the coroutine until it yields or returns; yield,
 	// bound when the body first runs, parks it.
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
-	next func() (struct{}, bool)
-	//m3vet:resolve sharedstate owner set once when the coroutine first runs, used only by its own body
+	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	// wake is the cached event callback that resumes the process, so
 	// a blocking call schedules no new closure.
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
-	wake func()
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
-	dead bool
-	//m3vet:resolve sharedstate owner process lifecycle flags flip under the engine's strict hand-off
+	wake   func()
+	dead   bool
 	killed bool
-	//m3vet:resolve sharedstate owner set once at spawn time on the engine goroutine
 	daemon bool
 
 	// done is signalled when the process function returns.
-	//m3vet:resolve sharedstate owner assigned at spawn, signalled at process exit, both engine-side
 	done *Signal
 }
 

@@ -9,7 +9,6 @@ package sim
 // everything in the address space (and are banned by m3vet's
 // nodeterminism rule for exactly that reason).
 type Rand struct {
-	//m3vet:resolve sharedstate owner each stream is advanced by the fault layer inside serial link hooks
 	state uint64
 }
 

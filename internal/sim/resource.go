@@ -10,20 +10,14 @@ import "fmt"
 type Resource struct {
 	eng      *Engine
 	capacity int
-	//m3vet:resolve sharedstate owner arbiter state changes in Acquire/Release, which run in process context
-	inUse int
-	//m3vet:resolve sharedstate owner arbiter state changes in Acquire/Release, which run in process context
-	waiters []resWaiter
+	inUse    int
+	waiters  []resWaiter
 
 	// busyCycles accumulates capacity-weighted busy time for
 	// utilisation statistics.
-	//m3vet:resolve sharedstate owner statistics accumulate alongside the arbiter state, process context only
-	busyCycles Time
-	//m3vet:resolve sharedstate owner statistics accumulate alongside the arbiter state, process context only
-	lastChange Time
-	//m3vet:resolve sharedstate owner statistics accumulate alongside the arbiter state, process context only
-	totalGrants uint64
-	//m3vet:resolve sharedstate owner statistics accumulate alongside the arbiter state, process context only
+	busyCycles   Time
+	lastChange   Time
+	totalGrants  uint64
 	totalWaitFor Time
 }
 

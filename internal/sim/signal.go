@@ -10,8 +10,7 @@ package sim
 //		sig.Wait(p)
 //	}
 type Signal struct {
-	eng *Engine
-	//m3vet:resolve sharedstate owner Wait and Broadcast run in process or engine context, one goroutine at a time under the strict hand-off
+	eng     *Engine
 	waiters []*Process
 }
 

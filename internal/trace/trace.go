@@ -83,15 +83,21 @@ func (t *Trace) Marshal() []byte {
 	return o.Bytes()
 }
 
+// minRecordBytes is the encoded size of a record with an empty path:
+// nine 8-byte fields, the path's length prefix among them.
+const minRecordBytes = 9 * 8
+
 // Unmarshal decodes a trace produced by Marshal.
 func Unmarshal(data []byte) (*Trace, error) {
 	is := kif.NewIStream(data)
-	n := int(is.U64())
-	if is.Err() != nil || n < 0 || n > 1<<24 {
+	n := is.U64()
+	// The record count is checked against the bytes actually left, so
+	// a forged header cannot size the record slice beyond the input.
+	if is.Err() != nil || n > uint64(is.Remaining()/minRecordBytes) {
 		return nil, fmt.Errorf("trace: corrupt header")
 	}
 	t := &Trace{Records: make([]Record, 0, n)}
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		r := Record{
 			Kind:  Kind(is.U64()),
 			FD:    int(is.I64()),
@@ -105,6 +111,9 @@ func Unmarshal(data []byte) (*Trace, error) {
 		r.Cycles = is.U64()
 		if is.Err() != nil {
 			return nil, fmt.Errorf("trace: corrupt record %d: %w", i, is.Err())
+		}
+		if r.Size < 0 {
+			return nil, fmt.Errorf("trace: record %d has negative size %d", i, r.Size)
 		}
 		t.Records = append(t.Records, r)
 	}

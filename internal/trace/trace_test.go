@@ -1,6 +1,9 @@
 package trace_test
 
 import (
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +18,7 @@ import (
 )
 
 // recordOnLinux runs b's setup natively and records its run phase.
-func recordOnLinux(t *testing.T, b workload.Benchmark) *trace.Trace {
+func recordOnLinux(t testing.TB, b workload.Benchmark) *trace.Trace {
 	t.Helper()
 	eng := sim.NewEngine()
 	sys := linuxos.New(eng, linuxos.ProfileXtensa, false)
@@ -189,6 +192,69 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	if _, err := trace.Unmarshal(data[:len(data)-4]); err == nil {
 		t.Fatal("truncated trace must fail to decode")
 	}
+}
+
+// A header may not claim more records than the input can hold: an
+// 8-byte input declaring 1<<24 records must fail without sizing a
+// record slice from the claim.
+func TestUnmarshalForgedCountAllocatesLittle(t *testing.T) {
+	data := binary.LittleEndian.AppendUint64(nil, 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged record count must fail to decode")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding an 8-byte input allocated %d bytes", got)
+	}
+}
+
+// Replay slices its buffer to a record's Size, so a negative size must
+// be refused at decode time.
+func TestUnmarshalRejectsNegativeSize(t *testing.T) {
+	tr := &trace.Trace{Records: []trace.Record{{Kind: trace.KRead, FD: 1, Size: -1}}}
+	if _, err := trace.Unmarshal(tr.Marshal()); err == nil {
+		t.Fatal("negative record size must fail to decode")
+	}
+}
+
+// FuzzTraceUnmarshal feeds arbitrary bytes to the decoder behind
+// `m3trace -i`: it must never panic, and whatever it accepts must
+// survive a second encode/decode unchanged with no negative sizes.
+func FuzzTraceUnmarshal(f *testing.F) {
+	b, err := workload.ByName("find")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recordOnLinux(f, b).Marshal())
+	f.Add((&trace.Trace{Records: []trace.Record{{Kind: trace.KWrite, FD: 1, Path: "/a", Size: 16}}}).Marshal())
+	f.Add([]byte{})
+	// One record whose path length overflows the read position.
+	var forged []byte
+	for _, v := range []uint64{1, 1, 0, 0, 1<<63 - 1, 0, 0, 0, 0, 0} {
+		forged = binary.LittleEndian.AppendUint64(forged, v)
+	}
+	f.Add(forged)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		for i, r := range tr.Records {
+			if r.Size < 0 {
+				t.Fatalf("record %d decoded with negative size %d", i, r.Size)
+			}
+		}
+		back, err := trace.Unmarshal(tr.Marshal())
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(back.Records, tr.Records) {
+			t.Fatalf("round trip changed the trace:\n%+v\n%+v", tr.Records, back.Records)
+		}
+	})
 }
 
 func TestReplayUnknownFD(t *testing.T) {
